@@ -22,7 +22,8 @@ import math
 import re
 from dataclasses import dataclass
 
-# absolute cutoff for coefficients produced by cancellation between terms
+# a sum of coefficients on one word cancels when it is at most this times
+# the sum of their magnitudes (relative, so tiny genuine terms survive)
 CANCEL_EPS = 1e-14
 # |norm(f) - 1| below this counts as unit length, so R3 does not refire
 UNIT_EPS = 1e-14
@@ -81,7 +82,7 @@ def _normalize(terms):
         if len(coeffs) == 1:
             if total == 0:
                 continue
-        elif abs(total) <= CANCEL_EPS:
+        elif abs(total) <= CANCEL_EPS * sum(abs(c) for c in coeffs):
             continue
         out.append((total, word))
     out.sort(key=lambda t: _word_key(t[1]))

@@ -9,6 +9,15 @@ Multi-mode operators are identity-padded tensor products with mode 1 as the
 leftmost factor.  The truncation defect [Q_k, P_k] - i is a rank-one matrix
 per mode with entry -iN at the top number state, so everything supported
 below the boundary behaves canonically.
+
+Each Q_k and P_k, a tridiagonal matrix padded by Kronecker products with
+identities, is stored as its values on one sparse (CSC) pattern that all of
+them and the identity share, so a generator G_f or a shifted iz + G_f is one
+weighted sum of value rows.  A resolvent is a SuperLU factorization of the
+sparse iz + G_f that solves for blocks of columns.  Dense matrices are
+formed only on request: full resolvents, evaluated expressions and the
+dense copies of Q_k, P_k and G_f.  scipy's sparse modules are imported on
+first use, so importing this module does not load them.
 """
 
 from __future__ import annotations
@@ -16,15 +25,19 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from resalg import symplectic
 from resalg.expr import DomainError, Expr
 
-# dense complex matrices throughout; keeps desk-scale memory in check
+# caps the dimension: full resolvents and evaluated expressions are dense
 DEFAULT_MAX_DIM = 4096
+
+# a factorization whose probe residual exceeds this times max(1, |z|) is
+# rejected as numerically broken
+PROBE_RESIDUAL_TOL = 1e-10
 
 _MAGIC = b"RAMX"
 _DTYPE_TAG = b"c16\x00"
@@ -32,12 +45,21 @@ _DTYPE_TAG = b"c16\x00"
 
 @dataclass(frozen=True)
 class FockRep:
-    """Immutable bundle of per-mode position/momentum matrices."""
+    """Immutable per-mode position/momentum matrices on one sparse pattern.
+
+    Every Q_k, P_k and the identity fit the CSC pattern (indices, indptr):
+    column j holds rows j and j +- s_k, s_k being the stride of mode k.
+    `entries` holds the values of Q_1, P_1, ..., Q_n, P_n on that pattern,
+    explicit zeros included, and `diagonal` the positions of the (j, j)
+    entries in it.
+    """
 
     space: symplectic.SymplecticSpace
     levels: int
-    position: tuple = field(repr=False)  # Q_k, full dimension
-    momentum: tuple = field(repr=False)  # P_k, full dimension
+    indices: np.ndarray = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    diagonal: np.ndarray = field(repr=False)
+    entries: np.ndarray = field(repr=False)
 
     @property
     def modes(self) -> int:
@@ -47,15 +69,27 @@ class FockRep:
     def dim(self) -> int:
         return self.levels ** self.modes
 
+    @cached_property
+    def position(self) -> tuple:
+        """Dense read-only Q_k, built on first access."""
+        return tuple(_dense_entries(self, 2 * k) for k in range(self.modes))
 
-def _ladder(levels: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, levels)), 1).astype(complex)
+    @cached_property
+    def momentum(self) -> tuple:
+        """Dense read-only P_k, built on first access."""
+        return tuple(_dense_entries(self, 2 * k + 1) for k in range(self.modes))
 
 
-def _pad(op: np.ndarray, mode: int, n: int, levels: int) -> np.ndarray:
-    left = np.eye(levels ** mode)
-    right = np.eye(levels ** (n - mode - 1))
-    return np.kron(np.kron(left, op), right)
+def _csc(rep: FockRep, data: np.ndarray):
+    from scipy import sparse
+
+    return sparse.csc_matrix((data, rep.indices, rep.indptr), shape=(rep.dim, rep.dim))
+
+
+def _dense_entries(rep: FockRep, row: int) -> np.ndarray:
+    out = _csc(rep, rep.entries[row]).toarray()
+    out.setflags(write=False)
+    return out
 
 
 def build_rep(n: int, levels: int, max_dim: int = DEFAULT_MAX_DIM) -> FockRep:
@@ -68,95 +102,144 @@ def build_rep(n: int, levels: int, max_dim: int = DEFAULT_MAX_DIM) -> FockRep:
         raise ValueError(
             f"dimension {levels}**{n} exceeds the memory cap {max_dim}"
         )
-    a = _ladder(levels)
-    q1 = (a + a.conj().T) / np.sqrt(2.0)
-    p1 = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    position = []
-    momentum = []
-    for k in range(n):
-        qk = _pad(q1, k, n, levels)
-        pk = _pad(p1, k, n, levels)
-        qk.setflags(write=False)
-        pk.setflags(write=False)
-        position.append(qk)
-        momentum.append(pk)
+    dim = levels ** n
+    cols = np.arange(dim)
+    strides = [levels ** (n - 1 - k) for k in range(n)]
+    # the slots of column j in ascending row order:
+    # j - s_1 < ... < j - s_n < j < j + s_n < ... < j + s_1
+    slots = [(k, -1) for k in range(n)] + [(None, 0)] + [(k, 1) for k in reversed(range(n))]
+    rows = np.empty((dim, len(slots)), dtype=np.int32)
+    valid = np.empty((dim, len(slots)), dtype=bool)
+    entries = np.zeros((2 * n, dim, len(slots)), dtype=complex)
+    for t, (k, side) in enumerate(slots):
+        if k is None:
+            rows[:, t] = cols
+            valid[:, t] = True
+            continue
+        level = (cols // strides[k]) % levels
+        rows[:, t] = cols + side * strides[k]
+        if side < 0:  # a|m> = sqrt(m)|m-1>
+            valid[:, t] = level > 0
+            a, a_star = np.sqrt(level), 0.0
+        else:  # a*|m> = sqrt(m+1)|m+1>
+            valid[:, t] = level < levels - 1
+            a, a_star = 0.0, np.sqrt(level + 1.0)
+        entries[2 * k, :, t] = (a + a_star) / np.sqrt(2.0)
+        entries[2 * k + 1, :, t] = (a - a_star) / (1j * np.sqrt(2.0))
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(valid.sum(axis=1), out=indptr[1:])
+    indices = rows[valid]
+    diagonal = indptr[:-1] + valid[:, :n].sum(axis=1)
+    entries = entries[:, valid]
+    # every sparse matrix built on the pattern shares these arrays
+    for arr in (indices, indptr, diagonal, entries):
+        arr.setflags(write=False)
     return FockRep(
         space=symplectic.standard_space(n),
         levels=levels,
-        position=tuple(position),
-        momentum=tuple(momentum),
+        indices=indices,
+        indptr=indptr,
+        diagonal=diagonal,
+        entries=entries,
     )
 
 
-def generator(rep: FockRep, f) -> np.ndarray:
-    """Hermitian field generator G_f = sum_k f_{2k-1} Q_k + f_{2k} P_k."""
+def generator(rep: FockRep, f, sparse: bool = False):
+    """Hermitian field generator G_f = sum_k f_{2k-1} Q_k + f_{2k} P_k.
+
+    A dense ndarray by default; with sparse=True the CSC matrix on the
+    representation's pattern that the solvers factor.
+    """
     fv = symplectic.as_vector(rep.space, f)
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for k in range(rep.modes):
-        out += fv[2 * k] * rep.position[k]
-        out += fv[2 * k + 1] * rep.momentum[k]
-    return out
+    data = np.zeros(rep.entries.shape[1], dtype=complex)
+    for weight, values in zip(fv, rep.entries):
+        data += weight * values
+    out = _csc(rep, data)
+    return out if sparse else out.toarray()
+
+
+def _probes(dim: int) -> np.ndarray:
+    # first and last basis state plus the flat unit vector
+    probes = np.zeros((dim, 3), dtype=complex)
+    probes[0, 0] = 1.0
+    probes[-1, 1] = 1.0
+    probes[:, 2] = 1.0 / np.sqrt(dim)
+    return probes
 
 
 class ResolventSolver:
-    """LU-factored (iz + G_f); applies the resolvent without forming it."""
+    """SuperLU-factored (iz + G_f); applies the resolvent without forming it.
+
+    Construction solves three probe columns and keeps the residual norm as
+    `backward_error`; a factorization that misses PROBE_RESIDUAL_TOL raises
+    RuntimeError there, so every solve path carries the same guard.
+    """
 
     def __init__(self, rep: FockRep, z, f):
+        from scipy.sparse.linalg import splu
+
         z = complex(z)
         if z.real == 0.0:
             raise DomainError(f"resolvent parameter z={z} requires Re(z) != 0")
         self.z = z
         self.f = tuple(float(x) for x in f)
         self.dim = rep.dim
-        mat = generator(rep, f).astype(complex)
-        mat[np.diag_indices_from(mat)] += 1j * z
-        self._matrix_a = mat
-        self._lu = lu_factor(mat, check_finite=False)
+        self._matrix_a = generator(rep, f, sparse=True)
+        self._matrix_a.data[rep.diagonal] += 1j * z
+        self._lu = splu(self._matrix_a)
+        self._full = None
+        self.backward_error = self._check(self._lu.solve(_probes(self.dim)))
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """Returns R @ block."""
-        return lu_solve(self._lu, block, check_finite=False)
+        return self._lu.solve(block)
 
     def matrix(self) -> np.ndarray:
-        out = self.apply(np.eye(self.dim, dtype=complex))
-        self._check(out)
-        return out
+        """The full resolvent, formed once per solver; read-only."""
+        if self._full is None:
+            out = self.apply(np.eye(self.dim, dtype=complex))
+            self._check(out @ _probes(self.dim))
+            out.setflags(write=False)
+            self._full = out
+        return self._full
 
-    def _check(self, res: np.ndarray):
-        # probe residual: catches a broken solve at O(dim^2) cost
-        probes = np.zeros((self.dim, 3), dtype=complex)
-        probes[0, 0] = 1.0
-        probes[-1, 1] = 1.0
-        probes[:, 2] = 1.0 / np.sqrt(self.dim)
-        err = np.linalg.norm(self._matrix_a @ (res @ probes) - probes)
-        scale = max(1.0, abs(self.z))
-        if err > 1e-10 * scale:
-            cond_bound = (abs(self.z) + np.linalg.norm(self._matrix_a)) / abs(
-                self.z.real
-            )
+    def _check(self, solved: np.ndarray) -> float:
+        """Residual of (iz + G_f) @ solved against the probe columns that
+        `solved` was computed from; raises when the solve is broken."""
+        from scipy.sparse.linalg import norm
+
+        err = float(np.linalg.norm(self._matrix_a @ solved - _probes(self.dim)))
+        if not err <= PROBE_RESIDUAL_TOL * max(1.0, abs(self.z)):
+            cond_bound = (abs(self.z) + norm(self._matrix_a)) / abs(self.z.real)
             raise RuntimeError(
                 f"resolvent solve failed: probe residual {err:.3e}, "
                 f"condition estimate {cond_bound:.3e}"
             )
+        return err
 
 
 def resolvent_matrix(rep: FockRep, z, f) -> np.ndarray:
-    """Dense resolvent (iz + G_f)^-1 via pivoted LU."""
+    """Dense resolvent (iz + G_f)^-1 via the sparse LU factors; read-only."""
     return ResolventSolver(rep, z, f).matrix()
 
 
 def evaluate(rep: FockRep, e: Expr) -> np.ndarray:
-    """Homomorphic evaluation of an expression; letters memoized per call."""
-    cache = {}
+    """Homomorphic evaluation of an expression.
+
+    Each word is applied to the identity by successive solves, with one
+    factorization per distinct letter, instead of multiplying formed
+    inverses.
+    """
+    solvers = {}
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     eye = np.eye(rep.dim, dtype=complex)
     for coeff, word in e.terms:
         acc = eye
         for g in reversed(word):
             key = (g.z, g.f)
-            if key not in cache:
-                cache[key] = resolvent_matrix(rep, g.z, g.f)
-            acc = cache[key] @ acc
+            if key not in solvers:
+                solvers[key] = ResolventSolver(rep, g.z, g.f)
+            acc = solvers[key].apply(acc)
         out += coeff * acc
     return out
 
@@ -203,7 +286,10 @@ def schur_constant(
 ) -> SchurReport:
     """Rayleigh quotients <phi, K phi>/<phi, phi> over basis states below the
     cutoff plus seeded random unit vectors supported there."""
-    k = np.asarray(k, dtype=complex)
+    from scipy import sparse
+
+    if not sparse.issparse(k):  # sparse operators multiply the probes as they are
+        k = np.asarray(k, dtype=complex)
     if k.shape != (rep.dim, rep.dim):
         raise ValueError(f"matrix shape {k.shape} does not match dim {rep.dim}")
     idx = box_indices(rep, cutoff)

@@ -95,7 +95,7 @@ def _verdict(residuals, tol: float, exact: bool) -> bool:
 
 
 class SolverCache:
-    """Per-representation memo of LU-factored resolvents and generators."""
+    """Per-representation memo of factored resolvents and sparse generators."""
 
     def __init__(self, rep: fock.FockRep):
         self.rep = rep
@@ -108,10 +108,11 @@ class SolverCache:
             self._solvers[key] = fock.ResolventSolver(self.rep, key[0], key[1])
         return self._solvers[key]
 
-    def generator(self, f) -> np.ndarray:
+    def generator(self, f):
+        """Sparse (CSC) G_f."""
         key = tuple(float(x) for x in f)
         if key not in self._generators:
-            self._generators[key] = fock.generator(self.rep, key)
+            self._generators[key] = fock.generator(self.rep, key, sparse=True)
         return self._generators[key]
 
 
@@ -323,7 +324,7 @@ def check_relation_iv(reps, f, g, mu, m, tol=1e-6, space=None, seed=0):
         idx, sel = _box_selector(cache.rep, m)
         b = cache.solver(mu, g)
         gf = cache.generator(f)
-        block = 1j * (gf @ b.apply(sel) - b.apply(gf[:, idx]))
+        block = 1j * (gf @ b.apply(sel) - b.apply(gf[:, idx].toarray()))
         block -= sig * b.apply(b.apply(sel))
         residuals.append(_block_norm(block[idx]))
     return RelationCheck(
@@ -343,16 +344,21 @@ def check_relation_iv(reps, f, g, mu, m, tol=1e-6, space=None, seed=0):
     )
 
 
-def _probe_matrix(rep: fock.FockRep, pattern: str) -> np.ndarray:
-    out = np.eye(rep.dim, dtype=complex)
+def _probe_matrix(rep: fock.FockRep, pattern: str):
+    """Sparse (CSC) monomial in the canonical pair."""
+    from scipy import sparse
+
+    out = sparse.identity(rep.dim, dtype=complex, format="csc")
     if pattern == "I":
         return out
     for token in pattern.split("*"):
         mode = int(token[1:]) - 1
         if not 0 <= mode < rep.modes:
             raise ValueError(f"probe {pattern!r} references mode {mode + 1}")
-        factor = rep.position[mode] if token[0] == "Q" else rep.momentum[mode]
-        out = out @ factor
+        # the generator along a coordinate direction is Q_k or P_k itself
+        unit = np.zeros(rep.space.dim)
+        unit[2 * mode if token[0] == "Q" else 2 * mode + 1] = 1.0
+        out = out @ fock.generator(rep, unit, sparse=True)
     return out
 
 

@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface.
 
 Each test drives ``resalg.cli.main`` in process and asserts on exit codes
-and emitted JSON; one subprocess test covers the installed console script.
+and emitted JSON; subprocess tests cover the console script and reports
+under different BLAS thread counts.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -122,6 +124,26 @@ def test_verify_reports_are_byte_identical(capsys, tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # holds for configs whose rel_iii matrices are small; larger ones can
+    # differ in rel_iii residuals, whose dense SVD runs on threaded BLAS
+    reports = []
+    for threads in (None, "1"):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads or 'default'}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "resalg.cli", "verify",
+             "--config", "configs/quick.json", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_unknown_subcommand_exits_2(capsys):

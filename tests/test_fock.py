@@ -69,6 +69,20 @@ def test_generator_linearity_and_hermiticity():
     assert np.allclose(gf, gf.conj().T, atol=1e-13)
 
 
+@pytest.mark.parametrize("modes, levels", [(1, 7), (2, 5), (3, 4)])
+def test_generator_matches_dense_sum(modes, levels):
+    rep = fock.build_rep(modes, levels)
+    f = np.random.default_rng(modes).standard_normal(2 * modes)
+    expected = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for k in range(modes):
+        expected += f[2 * k] * rep.position[k]
+        expected += f[2 * k + 1] * rep.momentum[k]
+    dense = fock.generator(rep, f)
+    assert isinstance(dense, np.ndarray)
+    assert np.array_equal(dense, expected)
+    assert np.array_equal(fock.generator(rep, f, sparse=True).toarray(), expected)
+
+
 def test_generator_commutator_matches_form_below_top():
     # -i[G_f, G_g] acts as sigma(f,g) on states below the top level
     rep = fock.build_rep(1, 12)
@@ -136,6 +150,45 @@ def test_solver_apply_matches_matrix():
     rng = np.random.default_rng(7)
     block = rng.standard_normal((rep.dim, 3)) + 1j * rng.standard_normal((rep.dim, 3))
     assert np.allclose(solver.apply(block), full @ block, atol=1e-11)
+    assert 0.0 <= solver.backward_error <= 1e-12
+    # formed once, and callers cannot write into the cached copy
+    assert solver.matrix() is full
+    with pytest.raises(ValueError):
+        full[0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "modes, levels, z",
+    [(1, 1024, 1.0 - 0.5j), (2, 32, -2.0 + 1.0j), (3, 10, 0.75 + 2.0j)],
+)
+def test_solver_apply_matches_dense_solve_on_box(modes, levels, z):
+    rep = fock.build_rep(modes, levels)
+    f = np.random.default_rng(levels).standard_normal(2 * modes)
+    idx = fock.box_indices(rep, 4)
+    sel = np.zeros((rep.dim, len(idx)), dtype=complex)
+    sel[idx, np.arange(len(idx))] = 1.0
+    dense = fock.generator(rep, f) + 1j * z * np.eye(rep.dim)
+    expected = np.linalg.solve(dense, sel)
+    got = fock.ResolventSolver(rep, z, f).apply(sel)
+    assert np.linalg.norm(got - expected) <= 2e-15 * np.linalg.norm(expected)
+
+
+def test_broken_factorization_raises_at_construction(monkeypatch):
+    import scipy.sparse.linalg
+
+    real_splu = scipy.sparse.linalg.splu
+
+    class Broken:
+        def __init__(self, a):
+            self._lu = real_splu(a)
+
+        def solve(self, rhs):
+            return 2.0 * self._lu.solve(rhs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", Broken)
+    rep = fock.build_rep(1, 8)
+    with pytest.raises(RuntimeError, match="probe residual .* condition estimate"):
+        fock.ResolventSolver(rep, 1.0, (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
