@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,27 @@ def _ray_key(c: float) -> float:
 
 def _basis(dim: int, axis: int):
     return tuple(1 if i == axis else 0 for i in range(dim))
+
+
+def _point_index(coords, box: int) -> np.ndarray:
+    """Positions in `lattice_points` order of the integer points whose
+    coordinates, one array per axis, are `coords`; -1 outside the box."""
+    index, inside = 0, True
+    for x in coords:
+        index = index * (2 * box + 1) + (x + box)
+        inside = inside & (np.abs(x) <= box)
+    return np.where(inside, index, -1)
+
+
+def _addition_table(dim: int, box: int) -> np.ndarray:
+    """Points x points table of the index of p_i + p_j, -1 outside the box."""
+    coords = np.array(lattice_points(dim, box), dtype=np.intp).reshape(-1, dim)
+    return _point_index((x[:, None] + x[None, :] for x in coords.T), box)
+
+
+def _on_lattice(values: dict, dim: int, box: int) -> np.ndarray:
+    """Per-point values in `lattice_points` order, NaN where undefined."""
+    return np.array([values.get(p, np.nan) for p in lattice_points(dim, box)])
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +317,48 @@ class Cocycle:
     def pairs(self):
         return sorted(self.values)
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """xi as a read-only points x points array in `lattice_points` order,
+        NaN where no pair is stored.  Raises KeyError for a pair off the
+        lattice box and ValueError for a value that is not finite."""
+        keys = np.array(list(self.values), dtype=np.intp).reshape(-1, 2, self.dim)
+        vals = np.fromiter(self.values.values(), dtype=float, count=len(keys))
+        rows = _point_index(keys[:, 0].T, self.box)
+        cols = _point_index(keys[:, 1].T, self.box)
+        off_box = np.flatnonzero((rows < 0) | (cols < 0))
+        if off_box.size:
+            raise KeyError(f"pair {keys[off_box[0]].tolist()} lies off the lattice box")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("cocycle values must be finite")
+        side = (2 * self.box + 1) ** self.dim
+        out = np.full((side, side), np.nan)
+        out[rows, cols] = vals
+        out.setflags(write=False)
+        return out
+
+
+# entries of each pairs x points temporary in the cocycle identity check:
+# 2**17 doubles, 1 MB
+_CHUNK_ENTRIES = 2**17
+
+
+def _rayleigh_weights(rep: fock.FockRep, cutoff: int, seed: int):
+    """Pattern entries the Schur probe block sees, and weights that map an
+    operator's values on them to its Rayleigh quotients.
+
+    With entry e at (row i_e, column j_e) of the sparse pattern,
+    <phi_c, K phi_c>/<phi_c, phi_c> = sum_e K_e W[e,c] for
+    W[e,c] = conj(phi[i_e,c]) phi[j_e,c] / |phi_c|^2.  Entries whose weights
+    all vanish lie outside the probes' support and are dropped.
+    """
+    probes = fock.probe_block(rep, cutoff, seed)
+    cols = np.repeat(np.arange(rep.dim), np.diff(rep.indptr))
+    norms = np.einsum("ij,ij->j", probes.conj(), probes).real
+    weights = probes[rep.indices].conj() * probes[cols] / norms
+    seen = np.flatnonzero(np.any(weights != 0, axis=1))
+    return seen, weights[seen]
+
 
 def build_cocycle(
     rep: fock.FockRep,
@@ -305,51 +369,72 @@ def build_cocycle(
 ) -> Cocycle:
     """Extracts xi over every valid ordered lattice pair.
 
-    The probed operator is symmetric under swapping the pair, so the value is
-    computed once per unordered pair and mirrored.
+    Each lattice point's gauged generator is formed once, as its values on
+    the sparse pattern.  The probed operator of a pair, G'_f + G'_g -
+    G'_{f+g}, is combined from those values, and one product with the
+    weights of the Schur probe block gives its Rayleigh quotients, which
+    must agree on a real scalar (else NotScalarError names the first
+    failing pair).  The operator is symmetric under swapping the pair, so
+    the value is computed once per unordered pair and mirrored.
     """
     points = lattice_points(gauge.dim, gauge.box)
-    gens = {}
-
-    def gen(p):
-        if p not in gens:
-            mat = fock.generator(rep, p).astype(complex)
-            mat[np.diag_indices_from(mat)] += gauge.values[p]
-            gens[p] = mat
-        return gens[p]
+    add = _addition_table(gauge.dim, gauge.box)
+    seen, weights = _rayleigh_weights(rep, cutoff, seed)
+    gens = np.empty((len(points), len(seen)), dtype=complex)
+    for n, p in enumerate(points):
+        data = fock.generator(rep, p, sparse=True).data
+        data[rep.diagonal] += gauge.values[p]
+        gens[n] = data[seen]
 
     values = {}
-    for i, f in enumerate(points):
-        for g in points[i:]:
-            total = _add(f, g)
-            if not _in_box(total, gauge.box):
-                continue
-            k = gen(f) + gen(g) - gen(total)
-            xi = _probe_scalar(rep, k, cutoff, tol, seed)
-            values[(f, g)] = xi
-            values[(g, f)] = xi
+    for i, f in enumerate(points):  # one chunk of pairs (f, g >= f) per f
+        js = i + np.flatnonzero(add[i, i:] >= 0)
+        quotients = (gens[i] + gens[js] - gens[add[i, js]]) @ weights
+        means = quotients.mean(axis=1)
+        devs = np.abs(quotients - means[:, None]).max(axis=1)
+        bad = np.flatnonzero(~(devs <= tol) | (np.abs(means.imag) > tol))
+        if bad.size:
+            n = bad[0]
+            raise NotScalarError(
+                f"probe at f={f}, g={points[js[n]]} is not a real multiple of "
+                f"the identity (mean {complex(means[n])}, max deviation "
+                f"{devs[n]:.3e})"
+            )
+        for j, xi in zip(js.tolist(), means.real.tolist()):
+            values[(f, points[j])] = xi
+            values[(points[j], f)] = xi
     return Cocycle(dim=gauge.dim, box=gauge.box, values=values)
 
 
 def verify_cocycle(xi: Cocycle, tol: float = COCYCLE_TOL):
-    """Checks symmetry and the cocycle identity; returns (ok, max defect)."""
-    worst = 0.0
-    for (f, g), value in xi.values.items():
-        worst = max(worst, abs(value - xi.values[(g, f)]))
-    points = lattice_points(xi.dim, xi.box)
-    for f, g in xi.pairs():
-        fg = _add(f, g)
-        for h in points:
-            gh = _add(g, h)
-            if not _in_box(gh, xi.box) or not _in_box(_add(fg, h), xi.box):
-                continue
-            defect = (
-                xi.values[(f, g)]
-                + xi.values[(fg, h)]
-                - xi.values[(f, gh)]
-                - xi.values[(g, h)]
-            )
-            worst = max(worst, abs(defect))
+    """Checks symmetry and the cocycle identity
+
+        xi(f,g) + xi(f+g,h) - xi(f,g+h) - xi(g,h) = 0
+
+    for every stored pair (f,g) and lattice point h with g+h and f+g+h in
+    the box; returns (ok, max defect).  Raises KeyError when the table lacks
+    a mirror pair or a pair the identity needs.
+    """
+    t = xi.table
+    stored = ~np.isnan(t)
+    if np.any(stored & ~stored.T):
+        raise KeyError("cocycle table lacks the mirror of a stored pair")
+    worst = max(0.0, float(np.max(np.abs(t - t.T), where=stored, initial=0.0)))
+    add = _addition_table(xi.dim, xi.box)
+    rows, cols = np.nonzero(stored)
+    sums = add[rows, cols]
+    if np.any(sums < 0):
+        # h = -g keeps g+h and f+g+h in the box, so xi(f+g, -g) is needed
+        raise KeyError("cocycle table stores a pair whose sum leaves the box")
+    step = max(1, _CHUNK_ENTRIES // len(t))
+    for start in range(0, len(rows), step):
+        f, g, fg = (a[start : start + step] for a in (rows, cols, sums))
+        gh = add[g]
+        valid = (gh >= 0) & (add[fg] >= 0)
+        defect = (t[f, g][:, None] + t[fg] - t[f[:, None], gh] - t[g])[valid]
+        if np.any(np.isnan(defect)):
+            raise KeyError("cocycle table lacks a pair the identity needs")
+        worst = max(worst, float(np.max(np.abs(defect), initial=0.0)))
     return worst <= tol, worst
 
 
@@ -414,24 +499,36 @@ def solve_coboundary(xi: Cocycle, tol: float = SWEEP_TOL) -> Coboundary:
 
 def coboundary_defect(xi: Cocycle, gamma: Coboundary) -> float:
     """Max pointwise error of the defining equation over all stored pairs."""
-    worst = 0.0
-    for (f, g), value in xi.values.items():
-        recon = gamma.values[f] + gamma.values[g] - gamma.values[_add(f, g)]
-        worst = max(worst, abs(recon - value))
-    return worst
+    t = xi.table
+    rows, cols = np.nonzero(~np.isnan(t))
+    sums = _addition_table(xi.dim, xi.box)[rows, cols]
+    potential = _on_lattice(gamma.values, xi.dim, xi.box)
+    recon = potential[rows] + potential[cols] - potential[sums]
+    if np.any((sums < 0) | np.isnan(recon)):
+        raise KeyError("coboundary undefined at a point the cocycle needs")
+    return max(0.0, float(np.max(np.abs(recon - t[rows, cols]), initial=0.0)))
+
+
+def _additivity_defects(values: dict, dim: int, box: int):
+    """v(f) + v(g) - v(f+g) for a table v over the pairs f <= g (lattice
+    order) of its domain with f+g in the box; returns (rows, cols, defects)
+    with rows, cols the points' lattice indices, in row-major pair order."""
+    add = _addition_table(dim, box)
+    v = _on_lattice(values, dim, box)
+    domain = np.array([p in values for p in lattice_points(dim, box)])
+    rows, cols = np.nonzero(np.triu(domain[:, None] & domain[None, :] & (add >= 0)))
+    defects = v[rows] + v[cols] - v[add[rows, cols]]
+    if np.any(np.isnan(defects)):
+        raise KeyError("table undefined at a sum of two points of its domain")
+    return rows, cols, defects
 
 
 def character_defect(gauge: GaugeFunction, gamma: Coboundary) -> float:
     """Additivity defect of chi = gamma - c; zero means gamma differs from
     the gauge by an exactly additive character."""
-    worst = 0.0
-    for (f, g) in itertools.product(gauge.values, repeat=2):
-        total = _add(f, g)
-        if not _in_box(total, gauge.box):
-            continue
-        chi = lambda p: gamma.values[p] - gauge.values[p]
-        worst = max(worst, abs(chi(f) + chi(g) - chi(total)))
-    return worst
+    chi = {p: gamma.values[p] - gauge.values[p] for p in gauge.values}
+    _, _, defects = _additivity_defects(chi, gauge.dim, gauge.box)
+    return max(0.0, float(np.max(np.abs(defects), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -545,18 +642,14 @@ def improve_family(
         shifts[p] = gauge.values[p] - gamma.values[p] - theta
     improved = OperatorFamily(rep=rep, lattice_shifts=shifts, ray_linear=True)
 
-    pairs = [
-        (f, g)
-        for f, g in itertools.combinations_with_replacement(sorted(shifts), 2)
-        if _in_box(_add(f, g), gauge.box)
-    ]
-    worst = 0.0
-    for f, g in pairs:
-        worst = max(worst, abs(shifts[f] + shifts[g] - shifts[_add(f, g)]))
+    rows, cols, defects = _additivity_defects(shifts, gauge.dim, gauge.box)
+    worst = max(0.0, float(np.max(np.abs(defects), initial=0.0)))
     if worst > tol:
         raise ImprovementError(f"improved family not additive (defect {worst:.3e})")
-    step = max(1, len(pairs) // matrix_samples)
-    for f, g in pairs[::step]:
+    points = lattice_points(gauge.dim, gauge.box)
+    step = max(1, len(rows) // matrix_samples)
+    for i, j in zip(rows[::step].tolist(), cols[::step].tolist()):
+        f, g = points[i], points[j]
         defect = np.linalg.norm(
             improved.generator(f) + improved.generator(g)
             - improved.generator(_add(f, g)),

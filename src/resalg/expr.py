@@ -319,6 +319,8 @@ def _tokenize(text: str):
         m = _NUMBER_RE.match(text, pos)
         if m:
             value = float(m.group())
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal '{m.group()}' overflows", pos)
             end = m.end()
             imag = end < n and text[end] == "i"
             if imag:

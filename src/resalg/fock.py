@@ -276,6 +276,21 @@ class SchurReport:
     seed: int
 
 
+def probe_block(
+    rep: FockRep, cutoff: int, seed: int = 0, random_probes: int = 10
+) -> np.ndarray:
+    """Probe columns of the Schur test: the basis states below the cutoff,
+    then `random_probes` seeded random unit vectors supported on them."""
+    idx = box_indices(rep, cutoff)
+    probes = np.zeros((rep.dim, len(idx) + random_probes), dtype=complex)
+    probes[idx, np.arange(len(idx))] = 1.0
+    rng = np.random.default_rng(seed)
+    for j in range(random_probes):
+        phi = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+        probes[idx, len(idx) + j] = phi / np.linalg.norm(phi)
+    return probes
+
+
 def schur_constant(
     rep: FockRep,
     k: np.ndarray,
@@ -284,22 +299,16 @@ def schur_constant(
     seed: int = 0,
     random_probes: int = 10,
 ) -> SchurReport:
-    """Rayleigh quotients <phi, K phi>/<phi, phi> over basis states below the
-    cutoff plus seeded random unit vectors supported there."""
+    """Rayleigh quotients <phi, K phi>/<phi, phi> over the columns of
+    `probe_block`."""
     from scipy import sparse
 
     if not sparse.issparse(k):  # sparse operators multiply the probes as they are
         k = np.asarray(k, dtype=complex)
     if k.shape != (rep.dim, rep.dim):
         raise ValueError(f"matrix shape {k.shape} does not match dim {rep.dim}")
-    idx = box_indices(rep, cutoff)
-    n_probes = len(idx) + random_probes
-    probes = np.zeros((rep.dim, n_probes), dtype=complex)
-    probes[idx, np.arange(len(idx))] = 1.0
-    rng = np.random.default_rng(seed)
-    for j in range(random_probes):
-        phi = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-        probes[idx, len(idx) + j] = phi / np.linalg.norm(phi)
+    probes = probe_block(rep, cutoff, seed, random_probes)
+    n_probes = probes.shape[1]
     applied = k @ probes  # one product for every probe column
     values = np.einsum("ij,ij->j", probes.conj(), applied)
     values /= np.einsum("ij,ij->j", probes.conj(), probes).real

@@ -431,7 +431,7 @@ class Config:
     compression: int = 6
     tolerance: float = 1e-6
     seed: int = 0
-    space: dict = None  # explicit bilinear-form description; None means standard
+    space: dict = None  # bilinear-form description; only the standard form is accepted
     lambdas: tuple = (1.0, -1.0, 2.0)
     scales: tuple = (-1.0, 0.5, 2.5)
     vectors: tuple = None  # None means basis directions plus the diagonal
@@ -490,8 +490,12 @@ class Config:
                 raise ConfigError("almost_inner requires at least one probe")
             object.__setattr__(self, "families", fams)
         if self.space is not None:
-            if self.space_object().dim != 2 * self.modes:
+            space = self.space_object()
+            if space.dim != 2 * self.modes:
                 raise ConfigError("space dimension does not match mode count")
+            # the Fock representation realizes only the standard form
+            if not space.is_standard():
+                raise ConfigError("only the standard symplectic form is supported")
 
     def space_object(self) -> symplectic.SymplecticSpace:
         if self.space is None:

@@ -46,6 +46,13 @@ def test_simplify_imaginary_parameter_exits_2(capsys):
     assert "Re(z)" in err
 
 
+def test_simplify_overflowing_literal_exits_2(capsys):
+    code, out, err = run_cli(capsys, "simplify", "1e400*R(1,[1,0])")
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+
+
 def test_simplify_json_mode(capsys):
     code, out, _ = run_cli(capsys, "simplify", "--json", "R(2,[1,0])*R(2,[1,0])")
     assert code == 0
@@ -100,6 +107,24 @@ def test_verify_zero_lambda_config_exits_2(capsys, tmp_path):
     assert "config error" in err
 
 
+def test_verify_nonstandard_space_exits_2(capsys, tmp_path):
+    config = {
+        "schema_version": 1,
+        "truncations": [8, 16],
+        "compression": 4,
+        "space": {"form": [[0.0, 2.0], [-2.0, 0.0]]},
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(config))
+    report = tmp_path / "report.json"
+    code, _, err = run_cli(
+        capsys, "verify", "--config", str(path), "--out", str(report)
+    )
+    assert code == 2
+    assert "standard symplectic form" in err
+    assert not report.exists()
+
+
 def test_verify_memory_cap_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--trunc", "64,8192")
     assert code == 2
@@ -126,9 +151,9 @@ def test_verify_reports_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_report_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # holds for configs whose rel_iii matrices are small; larger ones can
-    # differ in rel_iii residuals, whose dense SVD runs on threaded BLAS
+def _reports_by_blas_threads(tmp_path, *argv) -> list:
+    """Runs the CLI in subprocesses with default BLAS threading and with
+    OPENBLAS_NUM_THREADS=1; returns the two reports' bytes."""
     reports = []
     for threads in (None, "1"):
         env = dict(os.environ)
@@ -137,12 +162,20 @@ def test_verify_report_bytes_do_not_depend_on_blas_threads(tmp_path):
             env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / f"threads-{threads or 'default'}.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "resalg.cli", "verify",
-             "--config", "configs/quick.json", "--out", str(out)],
+            [sys.executable, "-m", "resalg.cli", *argv, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         reports.append(out.read_bytes())
+    return reports
+
+
+def test_verify_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # holds for configs whose rel_iii matrices are small; larger ones can
+    # differ in rel_iii residuals, whose dense SVD runs on threaded BLAS
+    reports = _reports_by_blas_threads(
+        tmp_path, "verify", "--config", "configs/quick.json"
+    )
     assert reports[0] == reports[1]
 
 
@@ -175,6 +208,17 @@ def test_cohomology_gauge_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["all_pass"] is True
+
+
+def test_cohomology_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    gauge = tmp_path / "gauge.json"
+    gauge.write_text(cohomology.gauge_to_json(cohomology.random_gauge(2, 3, seed=4)))
+    reports = _reports_by_blas_threads(
+        tmp_path, "cohomology", "--gauge", str(gauge), "--trunc", "32",
+        "--compress", "6", "--seed", "9",
+    )
+    assert json.loads(reports[0])["all_pass"] is True
+    assert reports[0] == reports[1]
 
 
 def test_cohomology_corrupt_xi_exits_1(capsys):

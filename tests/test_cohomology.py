@@ -1,5 +1,6 @@
 """Tests for the gauge-correction machinery."""
 
+import itertools
 import json
 
 import numpy as np
@@ -25,6 +26,60 @@ def random_setup(rep):
 def closed_form_xi(gauge, f, g):
     total = tuple(a + b for a, b in zip(f, g))
     return gauge.values[f] + gauge.values[g] - gauge.values[total]
+
+
+# Reference loops: the lattice checks written pair by pair.  The array code
+# in the module evaluates the same expressions in the same order, so its
+# results must equal these exactly.
+
+
+def _add(p, q):
+    return tuple(a + b for a, b in zip(p, q))
+
+
+def _in_box(p, box):
+    return all(abs(x) <= box for x in p)
+
+
+def loop_verify_cocycle(xi, tol=coh.COCYCLE_TOL):
+    worst = 0.0
+    for (f, g), value in xi.values.items():
+        worst = max(worst, abs(value - xi.values[(g, f)]))
+    points = coh.lattice_points(xi.dim, xi.box)
+    for f, g in xi.pairs():
+        fg = _add(f, g)
+        for h in points:
+            gh = _add(g, h)
+            if not _in_box(gh, xi.box) or not _in_box(_add(fg, h), xi.box):
+                continue
+            defect = (
+                xi.values[(f, g)]
+                + xi.values[(fg, h)]
+                - xi.values[(f, gh)]
+                - xi.values[(g, h)]
+            )
+            worst = max(worst, abs(defect))
+    return worst <= tol, worst
+
+
+def loop_coboundary_defect(xi, gamma):
+    worst = 0.0
+    for (f, g), value in xi.values.items():
+        recon = gamma.values[f] + gamma.values[g] - gamma.values[_add(f, g)]
+        worst = max(worst, abs(recon - value))
+    return worst
+
+
+def loop_character_defect(gauge, gamma):
+    worst = 0.0
+    for f in gauge.values:
+        for g in gauge.values:
+            total = _add(f, g)
+            if not _in_box(total, gauge.box):
+                continue
+            chi = lambda p: gamma.values[p] - gauge.values[p]
+            worst = max(worst, abs(chi(f) + chi(g) - chi(total)))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +176,124 @@ def test_verify_cocycle_detects_corruption(random_setup):
     bad[((1, 0), (1, 1))] += 0.5
     ok, defect = coh.verify_cocycle(coh.Cocycle(dim=2, box=3, values=bad))
     assert not ok and defect > 0.1
+
+
+def test_build_cocycle_matches_per_pair_extraction():
+    # one-mode and two-mode gauges; every unordered pair against extract_xi
+    for modes, levels, box, cutoff, seed in ((1, 16, 2, 6, 0), (2, 6, 1, 3, 4)):
+        rep = fock.build_rep(modes, levels)
+        gauge = coh.random_gauge(2 * modes, box, seed=seed + 1)
+        xi = coh.build_cocycle(rep, gauge, cutoff=cutoff, seed=seed)
+        points = coh.lattice_points(2 * modes, box)
+        expected = 0
+        for i, f in enumerate(points):
+            for g in points[i:]:
+                if not _in_box(_add(f, g), box):
+                    continue
+                expected += 1 + (f != g)
+                ref = coh.extract_xi(rep, gauge, f, g, cutoff=cutoff, seed=seed)
+                assert abs(xi.value(f, g) - ref) <= 1e-13
+                assert xi.value(g, f) == xi.value(f, g)
+        assert len(xi.values) == expected
+
+
+def test_build_cocycle_names_first_non_scalar_pair(rep, monkeypatch):
+    # a generator at one point gets a non-scalar defect; the first pair in
+    # extraction order (f before g in lattice order) that touches it fails.
+    # At the origin two pairs of the first row fail: g = (0, 0) and (2, 2)
+    broken = (0, 0)
+    plain = fock.generator
+
+    def generator(rep_, f, sparse=False):
+        out = plain(rep_, f, sparse=sparse)
+        if tuple(f) == broken:
+            if sparse:
+                out.data[rep_.diagonal[0]] += 0.5
+            else:
+                out[0, 0] += 0.5
+        return out
+
+    monkeypatch.setattr(fock, "generator", generator)
+    gauge = coh.random_gauge(2, 2, seed=3)
+    points = coh.lattice_points(2, 2)
+    first = next(
+        (f, g)
+        for i, f in enumerate(points)
+        for g in points[i:]
+        if _in_box(_add(f, g), 2) and broken in (f, g, _add(f, g))
+    )
+    with pytest.raises(coh.NotScalarError) as err:
+        coh.build_cocycle(rep, gauge)
+    assert f"f={first[0]}, g={first[1]}" in str(err.value)
+    # the per-pair path agrees that this pair is not scalar
+    with pytest.raises(coh.NotScalarError):
+        coh.extract_xi(rep, gauge, *first)
+
+
+def test_lattice_checks_equal_reference_loops(random_setup):
+    gauge, xi, gamma = random_setup
+    assert coh.verify_cocycle(xi) == loop_verify_cocycle(xi)
+    assert coh.coboundary_defect(xi, gamma) == loop_coboundary_defect(xi, gamma)
+    assert coh.character_defect(gauge, gamma) == loop_character_defect(gauge, gamma)
+    bad = dict(xi.values)
+    bad[((1, 1), (1, 0))] += 0.5
+    bad[((1, 0), (1, 1))] += 0.25  # asymmetric as well
+    bad[((-2, 0), (3, -1))] -= 1e-7
+    corrupt = coh.Cocycle(dim=2, box=3, values=bad)
+    got = coh.verify_cocycle(corrupt)
+    assert got == loop_verify_cocycle(corrupt)
+    assert got[0] is False
+    assert coh.coboundary_defect(corrupt, gamma) == loop_coboundary_defect(
+        corrupt, gamma
+    )
+    other = coh.solve_coboundary(
+        coh.build_cocycle(fock.build_rep(1, 16), coh.random_gauge(2, 3, seed=9))
+    )
+    assert coh.character_defect(gauge, other) == loop_character_defect(gauge, other)
+
+
+def test_additivity_defects_equal_reference_loop(random_setup):
+    # improve_family's pair list and scalar defects, on a full lattice
+    # domain and on a domain that is one axis of the box
+    gauge, _, gamma = random_setup
+    axis_only = coh.GaugeFunction(
+        2, 3, {(k, 0): 0.1 * k * k + 0.3 * (k > 0) for k in range(-3, 4)}
+    )
+    for table, box in ((gauge.values, 3), (axis_only.values, 3)):
+        values = {p: v - gamma.values[p] for p, v in table.items()}
+        pairs = [
+            (f, g)
+            for f, g in itertools.combinations_with_replacement(sorted(values), 2)
+            if _in_box(_add(f, g), box)
+        ]
+        rows, cols, defects = coh._additivity_defects(values, 2, box)
+        points = coh.lattice_points(2, box)
+        assert [(points[i], points[j]) for i, j in zip(rows, cols)] == pairs
+        assert defects.tolist() == [
+            values[f] + values[g] - values[_add(f, g)] for f, g in pairs
+        ]
+    sparse = coh.GaugeFunction(2, 2, {(1, 0): 1.0, (-1, 0): 2.0})
+    with pytest.raises(KeyError):  # (1,0) + (1,0) is off the domain
+        coh._additivity_defects(sparse.values, 2, 2)
+
+
+def test_verify_cocycle_missing_pairs_raise_like_the_loop(random_setup):
+    _, xi, _ = random_setup
+    no_mirror = dict(xi.values)
+    del no_mirror[((0, 1), (1, 0))]
+    # a pair only the identity reads: (f+g, h) with f+g on the box face
+    no_inner = dict(xi.values)
+    del no_inner[((3, 0), (-3, 0))]
+    del no_inner[((-3, 0), (3, 0))]
+    # a stored pair whose sum leaves the box
+    outside = dict(xi.values)
+    outside[((3, 0), (1, 0))] = outside[((1, 0), (3, 0))] = 0.0
+    for values in (no_mirror, no_inner, outside):
+        table = coh.Cocycle(dim=2, box=3, values=values)
+        with pytest.raises(KeyError):
+            loop_verify_cocycle(table)
+        with pytest.raises(KeyError):
+            coh.verify_cocycle(table)
 
 
 def test_zero_cocycle_gives_zero_potential(rep):

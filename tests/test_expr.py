@@ -106,6 +106,15 @@ def test_parse_error_positions():
         parse("R(1,[1i,0])")
 
 
+def test_parse_rejects_overflowing_literals():
+    for text in ("1e400*R(1,[1,0])", "R(1e999,[1,0])", "R(1,[1e400,0])", "2e308i"):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert "overflows" in str(err.value)
+    # underflow to zero is a finite literal
+    assert parse("1e-400") == parse("0")
+
+
 def test_domain_error_on_imaginary_axis():
     with pytest.raises(DomainError) as err:
         parse("R(2i,[1,0])")

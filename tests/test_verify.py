@@ -265,6 +265,8 @@ def test_config_probe_enables_family():
         {"modes": 0},
         {"truncations": (64, 80), "modes": 2},
         {"space": {"n": 2}},
+        {"space": {"form": [[0.0, 2.0], [-2.0, 0.0]]}},
+        {"space": {"form": [[0.0, 0.0], [0.0, 0.0]]}},
     ],
 )
 def test_config_rejects(kwargs):
