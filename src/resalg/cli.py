@@ -125,6 +125,7 @@ def cmd_cohomology(args) -> int:
             return 2
         try:
             gauge = cohomology.gauge_from_json(path.read_text())
+            cohomology.require_full_box(gauge)
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             _eprint(f"config error: bad gauge file: {exc}")
             return 2

@@ -152,6 +152,17 @@ class GaugeFunction:
         return sorted(self.values)
 
 
+def require_full_box(gauge: GaugeFunction) -> None:
+    """Raises ValueError naming the first point of the lattice box where the
+    gauge is undefined; the pipeline reads the gauge on the whole box."""
+    for p in lattice_points(gauge.dim, gauge.box):
+        if p not in gauge.values:
+            raise ValueError(
+                f"gauge undefined at {p}; the pipeline needs a value at every "
+                f"point of the box [-{gauge.box}, {gauge.box}]^{gauge.dim}"
+            )
+
+
 def zero_gauge(dim: int, box: int = DEFAULT_BOX) -> GaugeFunction:
     return GaugeFunction(dim, box, {p: 0.0 for p in lattice_points(dim, box)})
 
@@ -382,7 +393,7 @@ def build_cocycle(
     seen, weights = _rayleigh_weights(rep, cutoff, seed)
     gens = np.empty((len(points), len(seen)), dtype=complex)
     for n, p in enumerate(points):
-        data = fock.generator(rep, p, sparse=True).data
+        data = fock.generator_values(rep, p)
         data[rep.diagonal] += gauge.values[p]
         gens[n] = data[seen]
 

@@ -144,17 +144,23 @@ def build_rep(n: int, levels: int, max_dim: int = DEFAULT_MAX_DIM) -> FockRep:
     )
 
 
+def generator_values(rep: FockRep, f) -> np.ndarray:
+    """Values of G_f on the representation's sparse pattern: the weighted
+    sum of the Q_k, P_k value rows."""
+    fv = symplectic.as_vector(rep.space, f)
+    data = np.zeros(rep.entries.shape[1], dtype=complex)
+    for weight, values in zip(fv, rep.entries):
+        data += weight * values
+    return data
+
+
 def generator(rep: FockRep, f, sparse: bool = False):
     """Hermitian field generator G_f = sum_k f_{2k-1} Q_k + f_{2k} P_k.
 
     A dense ndarray by default; with sparse=True the CSC matrix on the
     representation's pattern that the solvers factor.
     """
-    fv = symplectic.as_vector(rep.space, f)
-    data = np.zeros(rep.entries.shape[1], dtype=complex)
-    for weight, values in zip(fv, rep.entries):
-        data += weight * values
-    out = _csc(rep, data)
+    out = _csc(rep, generator_values(rep, f))
     return out if sparse else out.toarray()
 
 
@@ -193,6 +199,11 @@ class ResolventSolver:
     def apply(self, block: np.ndarray) -> np.ndarray:
         """Returns R @ block."""
         return self._lu.solve(block)
+
+    def apply_adjoint(self, block: np.ndarray) -> np.ndarray:
+        """Returns R* @ block, a conjugate-transpose solve with the same
+        factors (checked by the same factor-time probe as `apply`)."""
+        return self._lu.solve(block, trans="H")
 
     def matrix(self) -> np.ndarray:
         """The full resolvent, formed once per solver; read-only."""

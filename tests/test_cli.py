@@ -171,12 +171,11 @@ def _reports_by_blas_threads(tmp_path, *argv) -> list:
 
 
 def test_verify_report_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # holds for configs whose rel_iii matrices are small; larger ones can
-    # differ in rel_iii residuals, whose dense SVD runs on threaded BLAS
-    reports = _reports_by_blas_threads(
-        tmp_path, "verify", "--config", "configs/quick.json"
-    )
-    assert reports[0] == reports[1]
+    for name in ("quick", "default", "two_mode"):
+        reports = _reports_by_blas_threads(
+            tmp_path, "verify", "--config", f"configs/{name}.json"
+        )
+        assert reports[0] == reports[1], name
 
 
 def test_verify_unknown_subcommand_exits_2(capsys):
@@ -239,6 +238,19 @@ def test_cohomology_gauge_dimension_mismatch_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "dimension" in err
+
+
+def test_cohomology_gauge_off_part_of_the_box_exits_2(capsys, tmp_path):
+    # closed under negation, but undefined at (-1, -1) and the other points
+    # of the box the pipeline reads
+    path = tmp_path / "gauge.json"
+    path.write_text('[{"f": [1, 0], "c": 1.0}, {"f": [-1, 0], "c": 2.0}]')
+    code, out, err = run_cli(
+        capsys, "cohomology", "--trunc", "16", "--gauge", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "(-1, -1)" in err
 
 
 def test_cohomology_unreadable_gauge_exits_2(capsys, tmp_path):

@@ -81,6 +81,9 @@ def test_generator_matches_dense_sum(modes, levels):
     assert isinstance(dense, np.ndarray)
     assert np.array_equal(dense, expected)
     assert np.array_equal(fock.generator(rep, f, sparse=True).toarray(), expected)
+    assert np.array_equal(
+        fock.generator_values(rep, f), fock.generator(rep, f, sparse=True).data
+    )
 
 
 def test_generator_commutator_matches_form_below_top():
@@ -168,9 +171,14 @@ def test_solver_apply_matches_dense_solve_on_box(modes, levels, z):
     sel = np.zeros((rep.dim, len(idx)), dtype=complex)
     sel[idx, np.arange(len(idx))] = 1.0
     dense = fock.generator(rep, f) + 1j * z * np.eye(rep.dim)
-    expected = np.linalg.solve(dense, sel)
-    got = fock.ResolventSolver(rep, z, f).apply(sel)
-    assert np.linalg.norm(got - expected) <= 2e-15 * np.linalg.norm(expected)
+    solver = fock.ResolventSolver(rep, z, f)
+    # R @ sel, and R* @ sel by a conjugate-transpose solve with the same factors
+    for got, matrix in (
+        (solver.apply(sel), dense),
+        (solver.apply_adjoint(sel), dense.conj().T),
+    ):
+        expected = np.linalg.solve(matrix, sel)
+        assert np.linalg.norm(got - expected) <= 2e-15 * np.linalg.norm(expected)
 
 
 def test_broken_factorization_raises_at_construction(monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from resalg import fock, symplectic, verify
@@ -93,6 +94,91 @@ def test_relation_iii_exact(ladder):
         verify.check_relation_iii(ladder, (1.0, 0.0), 1.0, 0.0)
     with pytest.raises(ValueError):
         verify.check_relation_iii(ladder, (1.0, 0.0), 1.0, 1.0 + 1.0j)
+
+
+class _Planted:
+    """A solver whose resolvent is scaled by `factor`: plants a defect of
+    relative size factor - 1 in rel_iii."""
+
+    def __init__(self, solver, factor):
+        self._solver, self._factor = solver, factor
+
+    def apply(self, block):
+        return self._factor * self._solver.apply(block)
+
+    def apply_adjoint(self, block):
+        return self._factor * self._solver.apply_adjoint(block)
+
+    def matrix(self):
+        return self._factor * self._solver.matrix()
+
+
+class _PlantedCache(verify.SolverCache):
+    def __init__(self, rep, lam, factor):
+        super().__init__(rep)
+        self._lam, self._factor = complex(lam), factor
+
+    def solver(self, z, f):
+        solver = super().solver(z, f)
+        if complex(z) == self._lam:
+            return solver
+        return _Planted(solver, self._factor)
+
+
+@pytest.mark.parametrize("modes, levels", [(1, 256), (2, 12), (2, 16)])
+def test_relation_iii_planted_defect_matches_dense_norm(modes, levels):
+    rep = fock.build_rep(modes, levels)
+    lam, c, f = 1.0, 2.5, (1.0,) * (2 * modes)
+    cache = _PlantedCache(rep, lam, 1.0 + 1e-6)
+    check = verify.check_relation_iii(cache, f, lam, c)
+    scaled = cache.solver(c * lam, tuple(c * x for x in f)).matrix()
+    dense = np.linalg.norm(c * scaled - cache.solver(lam, f).matrix(), 2)
+    assert dense > 1e-7
+    assert abs(check.residuals[0] - dense) <= 1e-8 * dense
+    assert not check.verdict
+
+
+def test_spectral_norm_of_a_random_matrix():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    got = verify._spectral_norm(a.__matmul__, a.conj().T.__matmul__, 200)
+    expected = np.linalg.norm(a, 2)
+    assert abs(got - expected) <= 1e-10 * expected
+
+
+def test_spectral_norm_of_zero_is_exactly_zero():
+    zero = lambda x: np.zeros_like(x)  # noqa: E731
+    assert verify._spectral_norm(zero, zero, 50) == 0.0
+
+
+def test_spectral_norm_sees_past_a_symmetry_sector():
+    # [[A, B], [B, A]] commutes with swapping the two halves.  Its singular
+    # values are those of A + B on the symmetric sector and of A - B on the
+    # antisymmetric sector, where the largest one lies.  Applied half by
+    # half, it maps a symmetric vector to an exactly symmetric one, so a
+    # flat start, and every Krylov vector grown from it, would only see
+    # A + B.
+    rng = np.random.default_rng(5)
+    half = 40
+
+    def random_with_norm(norm):
+        m = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+        return norm * m / np.linalg.norm(m, 2)
+
+    sym, anti = random_with_norm(1.0), random_with_norm(3.0)
+    a, b = (sym + anti) / 2, (sym - anti) / 2
+
+    def by_halves(p, q):
+        return lambda x: np.concatenate(
+            [p @ x[:half] + q @ x[half:], q @ x[:half] + p @ x[half:]]
+        )
+
+    image = by_halves(a, b)(np.ones(2 * half))
+    assert np.array_equal(image[:half], image[half:])
+    got = verify._spectral_norm(
+        by_halves(a, b), by_halves(a.conj().T, b.conj().T), 2 * half
+    )
+    assert abs(got - 3.0) <= 1e-10 * 3.0
 
 
 def test_single_rep_accepted():
