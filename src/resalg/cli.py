@@ -99,17 +99,14 @@ def cmd_verify(args) -> int:
     except verify.ConfigError as exc:
         _eprint(f"config error: {exc}")
         return 2
-    try:
-        result = verify.run_suite(config)
-    except RuntimeError as exc:
-        _eprint(f"suite failed: {exc}")
-        return 1
+    result = verify.run_suite(config)
     _emit(args, result.to_report())
-    if not result.all_pass:
-        failed = sorted({c.relation for c in result if not c.verdict})
+    failed = sorted({c.relation for c in result if not c.verdict})
+    if failed:
         _eprint(f"failed families: {', '.join(failed)}")
-        return 1
-    return 0
+    if result.sigma_cross_error is not None:
+        _eprint(f"sigma cross-validation failed: {result.sigma_cross_error}")
+    return 0 if result.all_pass else 1
 
 
 def cmd_cohomology(args) -> int:
@@ -250,20 +247,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
+    def output(p):
+        p.add_argument("--json", action="store_true", help="force JSON output")
+        p.add_argument("--pretty", action="store_true", help="indent JSON output")
+        p.add_argument("--out", help="write the report to this path")
+
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trunc", help="comma-separated truncation levels")
         p.add_argument("--compress", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--json", action="store_true", help="force JSON output")
-        p.add_argument("--pretty", action="store_true", help="indent JSON output")
-        if with_out:
-            p.add_argument("--out", help="write the report to this path")
+        output(p)
 
     p = sub.add_parser("simplify", help="canonicalize an expression")
     p.add_argument("expression")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("verify", help="run the relation suite")

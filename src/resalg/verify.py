@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -122,17 +122,6 @@ def _as_caches(reps) -> list:
     return [r if isinstance(r, SolverCache) else SolverCache(r) for r in reps]
 
 
-def _box_selector(rep: fock.FockRep, m: int):
-    idx = fock.box_indices(rep, m)
-    sel = np.zeros((rep.dim, len(idx)), dtype=complex)
-    sel[idx, np.arange(len(idx))] = 1.0
-    return idx, sel
-
-
-def _block_norm(block: np.ndarray) -> float:
-    return float(np.linalg.norm(block, 2))
-
-
 # relative change of the top Ritz value at which the Lanczos estimate stops
 LANCZOS_RTOL = 1e-12
 
@@ -201,12 +190,8 @@ def _spectral_norm(matvec, rmatvec, n: int) -> float:
     return sigma
 
 
-def _sigma(space, rep, f, g) -> float:
-    return symplectic.pair(space if space is not None else rep.space, f, g)
-
-
-def _vec_param(f):
-    return [float(x) for x in f]
+def _sigma(space, caches, f, g) -> float:
+    return symplectic.pair(space if space is not None else caches[0].rep.space, f, g)
 
 
 def _scalar_param(z):
@@ -214,111 +199,110 @@ def _scalar_param(z):
     return z.real if z.imag == 0.0 else [z.real, z.imag]
 
 
+def _params(f=None, g=None, lam=None, mu=None, c=None, probe=None, sigma=None):
+    """Report params of one check; arguments left at None are omitted."""
+    params = {}
+    for key, vec in (("f", f), ("g", g)):
+        if vec is not None:
+            params[key] = [float(x) for x in vec]
+    for key, z in (("lambda", lam), ("mu", mu), ("c", c)):
+        if z is not None:
+            params[key] = _scalar_param(z)
+    if probe is not None:
+        params["probe"] = probe
+    if sigma is not None:
+        params["sigma"] = sigma
+    return params
+
+
+def _check(relation, reps, params, m, tol, exact, residual) -> RelationCheck:
+    """The ladder driver: one residual per truncation level, then the verdict.
+
+    `residual(cache, idx, sel)` returns the box block of (left side - right
+    side), whose spectral norm is the level's residual.  With m None the
+    check is a full-norm one, reported with compression 0:
+    `residual(cache, None, None)` returns the norm itself.
+    """
+    caches = _as_caches(reps)
+    residuals = []
+    for cache in caches:
+        if m is None:
+            residuals.append(residual(cache, None, None))
+            continue
+        idx = fock.box_indices(cache.rep, m)
+        sel = np.zeros((cache.rep.dim, len(idx)), dtype=complex)
+        sel[idx, np.arange(len(idx))] = 1.0
+        residuals.append(float(np.linalg.norm(residual(cache, idx, sel), 2)))
+    return RelationCheck(
+        relation=relation,
+        params=params,
+        truncations=tuple(c.rep.levels for c in caches),
+        compression=0 if m is None else m,
+        residuals=tuple(residuals),
+        tolerance=tol,
+        verdict=_verdict(residuals, tol, exact=exact),
+    )
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
 
-def check_pseudo_resolvent(reps, f, lam, mu, m, tol=EXACT_TOL, seed=0):
+def check_pseudo_resolvent(reps, f, lam, mu, m, tol=EXACT_TOL):
     """R(lam,f) - R(mu,f) = i(mu-lam) R(lam,f) R(mu,f), exact in matrix algebra."""
     if complex(lam) == complex(mu):
         raise ValueError("pseudo-resolvent check needs two distinct parameters")
-    caches = _as_caches(reps)
-    residuals = []
-    for cache in caches:
-        idx, sel = _box_selector(cache.rep, m)
+
+    def residual(cache, idx, sel):
         a = cache.solver(lam, f)
         b = cache.solver(mu, f)
         block = a.apply(sel) - b.apply(sel)
         block -= 1j * (complex(mu) - complex(lam)) * a.apply(b.apply(sel))
-        residuals.append(_block_norm(block[idx]))
-    return RelationCheck(
-        relation="pseudo",
-        params={"f": _vec_param(f), "lambda": _scalar_param(lam), "mu": _scalar_param(mu)},
-        truncations=tuple(c.rep.levels for c in caches),
-        compression=m,
-        residuals=tuple(residuals),
-        tolerance=tol,
-        verdict=_verdict(residuals, tol, exact=True),
-        seed=seed,
-    )
+        return block[idx]
+
+    return _check("pseudo", reps, _params(f, lam=lam, mu=mu), m, tol, True, residual)
 
 
-def check_adjoint_symmetry(reps, f, lam, m, tol=EXACT_TOL, seed=0):
+def check_adjoint_symmetry(reps, f, lam, m, tol=EXACT_TOL):
     """R(lam,f)* = R(-conj(lam),f), exact in matrix algebra."""
-    caches = _as_caches(reps)
-    residuals = []
-    for cache in caches:
-        idx, sel = _box_selector(cache.rep, m)
+
+    def residual(cache, idx, sel):
         left = cache.solver(lam, f).apply(sel)[idx].conj().T
         right = cache.solver(-complex(lam).conjugate(), f).apply(sel)[idx]
-        residuals.append(_block_norm(left - right))
-    return RelationCheck(
-        relation="adjoint",
-        params={"f": _vec_param(f), "lambda": _scalar_param(lam)},
-        truncations=tuple(c.rep.levels for c in caches),
-        compression=m,
-        residuals=tuple(residuals),
-        tolerance=tol,
-        verdict=_verdict(residuals, tol, exact=True),
-        seed=seed,
-    )
+        return left - right
+
+    return _check("adjoint", reps, _params(f, lam=lam), m, tol, True, residual)
 
 
-def check_zero_vector(reps, lam, m, tol=EXACT_TOL, seed=0):
+def check_zero_vector(reps, lam, m, tol=EXACT_TOL):
     """R(lam,0) = (1/(i lam))*1, exact in matrix algebra."""
-    caches = _as_caches(reps)
-    residuals = []
-    for cache in caches:
-        rep = cache.rep
-        idx, sel = _box_selector(rep, m)
-        zero = (0.0,) * rep.space.dim
+
+    def residual(cache, idx, sel):
+        zero = (0.0,) * cache.rep.space.dim
         block = cache.solver(lam, zero).apply(sel)[idx]
         block -= (1.0 / (1j * complex(lam))) * np.eye(len(idx))
-        residuals.append(_block_norm(block))
-    return RelationCheck(
-        relation="zero_vector",
-        params={"lambda": _scalar_param(lam)},
-        truncations=tuple(c.rep.levels for c in caches),
-        compression=m,
-        residuals=tuple(residuals),
-        tolerance=tol,
-        verdict=_verdict(residuals, tol, exact=True),
-        seed=seed,
-    )
+        return block
+
+    return _check("zero_vector", reps, _params(lam=lam), m, tol, True, residual)
 
 
-def check_relation_i(reps, f, g, lam, mu, m, tol=1e-6, space=None, seed=0):
+def check_relation_i(reps, f, g, lam, mu, m, tol=1e-6, space=None):
     """[R(lam,f), R(mu,g)] = i sigma(f,g) R(lam,f) R(mu,g)^2 R(lam,f)."""
     caches = _as_caches(reps)
-    residuals = []
-    sig = None
-    for cache in caches:
-        sig = _sigma(space, cache.rep, f, g)
-        idx, sel = _box_selector(cache.rep, m)
+    sig = _sigma(space, caches, f, g)
+
+    def residual(cache, idx, sel):
         a = cache.solver(lam, f)
         b = cache.solver(mu, g)
         block = a.apply(b.apply(sel)) - b.apply(a.apply(sel))
         block -= 1j * sig * a.apply(b.apply(b.apply(a.apply(sel))))
-        residuals.append(_block_norm(block[idx]))
-    return RelationCheck(
-        relation="rel_i",
-        params={
-            "f": _vec_param(f),
-            "g": _vec_param(g),
-            "lambda": _scalar_param(lam),
-            "mu": _scalar_param(mu),
-            "sigma": sig,
-        },
-        truncations=tuple(c.rep.levels for c in caches),
-        compression=m,
-        residuals=tuple(residuals),
-        tolerance=tol,
-        verdict=_verdict(residuals, tol, exact=False),
-        seed=seed,
-    )
+        return block[idx]
+
+    params = _params(f, g, lam, mu, sigma=sig)
+    return _check("rel_i", caches, params, m, tol, False, residual)
 
 
-def check_relation_ii(reps, f, g, lam, mu, m, tol=1e-6, space=None, seed=0):
+def check_relation_ii(reps, f, g, lam, mu, m, tol=1e-6, space=None):
     """R(lam+mu,f+g)(R(lam,f)+R(mu,g)+i sigma(f,g) R(lam,f)^2 R(mu,g))
     = R(lam,f) R(mu,g); needs lam, mu, lam+mu away from the imaginary axis."""
     lam, mu = complex(lam), complex(mu)
@@ -327,38 +311,23 @@ def check_relation_ii(reps, f, g, lam, mu, m, tol=1e-6, space=None, seed=0):
             "additivity check requires Re(lam), Re(mu), Re(lam+mu) all nonzero"
         )
     caches = _as_caches(reps)
+    sig = _sigma(space, caches, f, g)
     fg = tuple(float(x) + float(y) for x, y in zip(f, g))
-    residuals = []
-    sig = None
-    for cache in caches:
-        sig = _sigma(space, cache.rep, f, g)
-        idx, sel = _box_selector(cache.rep, m)
+
+    def residual(cache, idx, sel):
         a = cache.solver(lam, f)
         b = cache.solver(mu, g)
         s = cache.solver(lam + mu, fg)
         inner = a.apply(sel) + b.apply(sel)
         inner += 1j * sig * a.apply(a.apply(b.apply(sel)))
         block = s.apply(inner) - a.apply(b.apply(sel))
-        residuals.append(_block_norm(block[idx]))
-    return RelationCheck(
-        relation="rel_ii",
-        params={
-            "f": _vec_param(f),
-            "g": _vec_param(g),
-            "lambda": _scalar_param(lam),
-            "mu": _scalar_param(mu),
-            "sigma": sig,
-        },
-        truncations=tuple(c.rep.levels for c in caches),
-        compression=m,
-        residuals=tuple(residuals),
-        tolerance=tol,
-        verdict=_verdict(residuals, tol, exact=False),
-        seed=seed,
-    )
+        return block[idx]
+
+    params = _params(f, g, lam, mu, sigma=sig)
+    return _check("rel_ii", caches, params, m, tol, False, residual)
 
 
-def check_relation_iii(reps, f, lam, c, tol=EXACT_TOL, seed=0):
+def check_relation_iii(reps, f, lam, c, tol=EXACT_TOL):
     """c R(c lam, c f) = R(lam, f), exact in matrix algebra; full-norm check.
 
     The spectral norm of the difference is estimated by `_spectral_norm`
@@ -367,59 +336,34 @@ def check_relation_iii(reps, f, lam, c, tol=EXACT_TOL, seed=0):
     c = complex(c)
     if c == 0 or c.imag != 0.0:
         raise ValueError("scaling parameter c must be real and nonzero")
-    caches = _as_caches(reps)
     cf = tuple(c.real * float(x) for x in f)
-    residuals = []
-    for cache in caches:
+
+    def residual(cache, idx, sel):
         scaled = cache.solver(c * complex(lam), cf)
         plain = cache.solver(lam, f)
-        residuals.append(
-            _spectral_norm(
-                lambda x: c * scaled.apply(x) - plain.apply(x),
-                lambda x: c * scaled.apply_adjoint(x) - plain.apply_adjoint(x),
-                cache.rep.dim,
-            )
+        return _spectral_norm(
+            lambda x: c * scaled.apply(x) - plain.apply(x),
+            lambda x: c * scaled.apply_adjoint(x) - plain.apply_adjoint(x),
+            cache.rep.dim,
         )
-    return RelationCheck(
-        relation="rel_iii",
-        params={"f": _vec_param(f), "lambda": _scalar_param(lam), "c": _scalar_param(c)},
-        truncations=tuple(cc.rep.levels for cc in caches),
-        compression=0,
-        residuals=tuple(residuals),
-        tolerance=tol,
-        verdict=_verdict(residuals, tol, exact=True),
-        seed=seed,
-    )
+
+    return _check("rel_iii", reps, _params(f, lam=lam, c=c), None, tol, True, residual)
 
 
-def check_relation_iv(reps, f, g, mu, m, tol=1e-6, space=None, seed=0):
+def check_relation_iv(reps, f, g, mu, m, tol=1e-6, space=None):
     """i[G_f, R(mu,g)] = sigma(f,g) R(mu,g)^2."""
     caches = _as_caches(reps)
-    residuals = []
-    sig = None
-    for cache in caches:
-        sig = _sigma(space, cache.rep, f, g)
-        idx, sel = _box_selector(cache.rep, m)
+    sig = _sigma(space, caches, f, g)
+
+    def residual(cache, idx, sel):
         b = cache.solver(mu, g)
         gf = cache.generator(f)
         block = 1j * (gf @ b.apply(sel) - b.apply(gf[:, idx].toarray()))
         block -= sig * b.apply(b.apply(sel))
-        residuals.append(_block_norm(block[idx]))
-    return RelationCheck(
-        relation="rel_iv",
-        params={
-            "f": _vec_param(f),
-            "g": _vec_param(g),
-            "mu": _scalar_param(mu),
-            "sigma": sig,
-        },
-        truncations=tuple(c.rep.levels for c in caches),
-        compression=m,
-        residuals=tuple(residuals),
-        tolerance=tol,
-        verdict=_verdict(residuals, tol, exact=False),
-        seed=seed,
-    )
+        return block[idx]
+
+    params = _params(f, g, mu=mu, sigma=sig)
+    return _check("rel_iv", caches, params, m, tol, False, residual)
 
 
 def _probe_matrix(rep: fock.FockRep, pattern: str):
@@ -440,7 +384,7 @@ def _probe_matrix(rep: fock.FockRep, pattern: str):
     return out
 
 
-def check_almost_inner(reps, f, lam, probe, m, tol=1e-6, space=None, seed=0):
+def check_almost_inner(reps, f, lam, probe, m, tol=1e-6, space=None):
     """R(lam,f) d_f(A) R(lam,f) = i[A, R(lam,f)] for a probe operator A.
 
     String probes name monomials in the canonical pair ("Q1", "Q1*P1", "I");
@@ -459,32 +403,27 @@ def check_almost_inner(reps, f, lam, probe, m, tol=1e-6, space=None, seed=0):
     else:
         raise TypeError("probe must be a monomial name or an expression")
     exact = probe_expr is None
-    residuals = []
-    for cache in caches:
+    if not exact:
+        sp = space if space is not None else caches[0].rep.space
+        deriv_expr = derivation(sp, f, probe_expr)
+
+    def residual(cache, idx, sel):
         rep = cache.rep
-        idx, sel = _box_selector(rep, m)
         a = cache.solver(lam, f)
         if exact:
             mat = _probe_matrix(rep, probe_id)
             gf = cache.generator(f)
             deriv = 1j * (gf @ mat - mat @ gf)
         else:
-            sp = space if space is not None else rep.space
             mat = fock.evaluate(rep, probe_expr)
-            deriv = fock.evaluate(rep, derivation(sp, f, probe_expr))
+            deriv = fock.evaluate(rep, deriv_expr)
         block = a.apply(deriv @ a.apply(sel))
         block -= 1j * (mat @ a.apply(sel) - a.apply(mat @ sel))
-        residuals.append(_block_norm(block[idx]))
-    eff_tol = EXACT_TOL if exact else tol
-    return RelationCheck(
-        relation="almost_inner",
-        params={"f": _vec_param(f), "lambda": _scalar_param(lam), "probe": probe_id},
-        truncations=tuple(c.rep.levels for c in caches),
-        compression=m,
-        residuals=tuple(residuals),
-        tolerance=eff_tol,
-        verdict=_verdict(residuals, eff_tol, exact=exact),
-        seed=seed,
+        return block[idx]
+
+    params = _params(f, lam=lam, probe=probe_id)
+    return _check(
+        "almost_inner", caches, params, m, EXACT_TOL if exact else tol, exact, residual
     )
 
 
@@ -648,11 +587,16 @@ class Config:
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """All checks from one configuration plus the cross-validation scalar."""
+    """All checks from one configuration plus the cross-validation scalar.
+
+    If the cross-validation fails, `sigma_cross_max` is infinite and
+    `sigma_cross_error` says why; the suite then does not pass.
+    """
 
     config: Config
     checks: tuple
     sigma_cross_max: float
+    sigma_cross_error: str = None
 
     def __iter__(self):
         return iter(self.checks)
@@ -665,14 +609,15 @@ class SuiteResult:
 
     @property
     def all_pass(self) -> bool:
-        return bool(self.checks) and all(c.verdict for c in self.checks)
+        checks_pass = bool(self.checks) and all(c.verdict for c in self.checks)
+        return checks_pass and self.sigma_cross_error is None
 
     def families(self) -> tuple:
         present = {c.relation for c in self.checks}
         return tuple(x for x in FAMILY_ORDER if x in present)
 
     def to_report(self) -> dict:
-        return {
+        report = {
             "schema_version": 1,
             "config": self.config.to_dict(),
             "families": list(self.families()),
@@ -680,24 +625,9 @@ class SuiteResult:
             "sigma_cross_max": float(self.sigma_cross_max),
             "all_pass": self.all_pass,
         }
-
-
-def _guarded(builder, relation, params, truncations, m, tol, seed):
-    try:
-        return builder()
-    except Exception as exc:  # noqa: BLE001 - a failed check must not kill the suite
-        params = dict(params)
-        params["error"] = f"{type(exc).__name__}: {exc}"
-        return RelationCheck(
-            relation=relation,
-            params=params,
-            truncations=tuple(truncations),
-            compression=m,
-            residuals=(math.inf,) * len(tuple(truncations)),
-            tolerance=tol,
-            verdict=False,
-            seed=seed,
-        )
+        if self.sigma_cross_error is not None:
+            report["sigma_cross_error"] = self.sigma_cross_error
+        return report
 
 
 def _distinct_pairs(values):
@@ -705,11 +635,52 @@ def _distinct_pairs(values):
     return [(a, b) for i, a in enumerate(values) for b in values[i + 1 :]]
 
 
+def _suite_table(config: Config) -> tuple:
+    """The relation table: one (relation, check name, tolerance, grid) entry
+    per family in report order.  A grid point holds the check's parameters
+    as keyword arguments."""
+    lambdas, vectors, tol = config.lambdas, config.vectors, config.tolerance
+    lam0 = lambdas[0]
+    lam_pairs = [(lam0, lam0), (lam0, lambdas[-1])]
+    vec_pairs = _distinct_pairs(vectors)
+    return (
+        ("pseudo", "check_pseudo_resolvent", EXACT_TOL, [
+            dict(f=f, lam=lam, mu=mu)
+            for lam, mu in _distinct_pairs(lambdas) for f in vectors
+        ]),
+        ("adjoint", "check_adjoint_symmetry", EXACT_TOL, [
+            dict(f=f, lam=lam) for lam in lambdas for f in vectors
+        ]),
+        ("zero_vector", "check_zero_vector", EXACT_TOL, [
+            dict(lam=lam) for lam in lambdas
+        ]),
+        ("rel_i", "check_relation_i", tol, [
+            dict(f=f, g=g, lam=lam, mu=mu) for lam, mu in lam_pairs for f, g in vec_pairs
+        ]),
+        ("rel_ii", "check_relation_ii", tol, [
+            dict(f=f, g=g, lam=lam, mu=mu)
+            for lam, mu in lam_pairs if (complex(lam) + complex(mu)).real != 0.0
+            for f, g in vec_pairs
+        ]),
+        ("rel_iii", "check_relation_iii", EXACT_TOL, [
+            dict(f=f, lam=lam0, c=c) for c in config.scales for f in vectors
+        ]),
+        ("rel_iv", "check_relation_iv", tol, [
+            dict(f=f, g=g, mu=lam0) for f in vectors for g in vectors if f != g
+        ]),
+        ("almost_inner", "check_almost_inner", tol, [
+            dict(f=f, lam=lam0, probe=probe) for probe in config.probes for f in vectors
+        ]),
+    )
+
+
 def run_suite(config: Config) -> SuiteResult:
     """Runs every enabled family over the configured grid.
 
     A check that raises is recorded as failed (with the error message in its
-    params) and the suite continues.  Deterministic for a fixed config.
+    params) and the suite continues; a failed sigma cross-validation is
+    recorded in the result.  Checks are looked up on the module by name at
+    call time, so wrappers set there apply.  Deterministic for a fixed config.
     """
     space = config.space_object()
     caches = [
@@ -717,127 +688,40 @@ def run_suite(config: Config) -> SuiteResult:
         for n in config.truncations
     ]
     m = config.compression
-    tol = config.tolerance
-    seed = config.seed
-    trunc = config.truncations
     enabled = config.enabled_families()
-    lambdas = config.lambdas
-    vectors = config.vectors
     checks = []
-
-    def add(relation, params, builder, check_tol):
-        checks.append(
-            _guarded(builder, relation, params, trunc, m, check_tol, seed)
-        )
-
-    if "pseudo" in enabled:
-        for lam, mu in _distinct_pairs(lambdas):
-            for f in vectors:
-                add(
-                    "pseudo",
-                    {"f": _vec_param(f), "lambda": _scalar_param(lam), "mu": _scalar_param(mu)},
-                    lambda lam=lam, mu=mu, f=f: check_pseudo_resolvent(
-                        caches, f, lam, mu, m, seed=seed
-                    ),
-                    EXACT_TOL,
+    for relation, name, tol, grid in _suite_table(config):
+        if relation not in enabled:
+            continue
+        # rel_iii is a full-norm check; exact checks keep their own tolerance
+        kwargs = {} if relation == "rel_iii" else {"m": m}
+        if relation not in EXACT_FAMILIES:
+            kwargs.update(tol=tol, space=space)
+        for point in grid:
+            try:
+                check = globals()[name](caches, **point, **kwargs)
+            except Exception as exc:  # noqa: BLE001 - a failed check must not kill the suite
+                error = f"{type(exc).__name__}: {exc}"
+                check = RelationCheck(
+                    relation=relation,
+                    params=dict(_params(**point), error=error),
+                    truncations=config.truncations,
+                    compression=m,
+                    residuals=(math.inf,) * len(config.truncations),
+                    tolerance=tol,
+                    verdict=False,
                 )
-    if "adjoint" in enabled:
-        for lam in lambdas:
-            for f in vectors:
-                add(
-                    "adjoint",
-                    {"f": _vec_param(f), "lambda": _scalar_param(lam)},
-                    lambda lam=lam, f=f: check_adjoint_symmetry(
-                        caches, f, lam, m, seed=seed
-                    ),
-                    EXACT_TOL,
-                )
-    if "zero_vector" in enabled:
-        for lam in lambdas:
-            add(
-                "zero_vector",
-                {"lambda": _scalar_param(lam)},
-                lambda lam=lam: check_zero_vector(caches, lam, m, seed=seed),
-                EXACT_TOL,
-            )
-    if "rel_i" in enabled:
-        lam0 = lambdas[0]
-        pair_params = [(lam0, lam0), (lam0, lambdas[-1])]
-        for lam, mu in pair_params:
-            for f, g in _distinct_pairs(vectors):
-                add(
-                    "rel_i",
-                    {"f": _vec_param(f), "g": _vec_param(g), "lambda": _scalar_param(lam), "mu": _scalar_param(mu)},
-                    lambda lam=lam, mu=mu, f=f, g=g: check_relation_i(
-                        caches, f, g, lam, mu, m, tol=tol, space=space, seed=seed
-                    ),
-                    tol,
-                )
-    if "rel_ii" in enabled:
-        lam0 = lambdas[0]
-        pair_params = [
-            (lam, mu)
-            for lam, mu in [(lam0, lam0), (lam0, lambdas[-1])]
-            if (complex(lam) + complex(mu)).real != 0.0
-        ]
-        for lam, mu in pair_params:
-            for f, g in _distinct_pairs(vectors):
-                add(
-                    "rel_ii",
-                    {"f": _vec_param(f), "g": _vec_param(g), "lambda": _scalar_param(lam), "mu": _scalar_param(mu)},
-                    lambda lam=lam, mu=mu, f=f, g=g: check_relation_ii(
-                        caches, f, g, lam, mu, m, tol=tol, space=space, seed=seed
-                    ),
-                    tol,
-                )
-    if "rel_iii" in enabled:
-        lam0 = lambdas[0]
-        for c in config.scales:
-            for f in vectors:
-                add(
-                    "rel_iii",
-                    {"f": _vec_param(f), "lambda": _scalar_param(lam0), "c": c},
-                    lambda c=c, f=f: check_relation_iii(
-                        caches, f, lam0, c, seed=seed
-                    ),
-                    EXACT_TOL,
-                )
-    if "rel_iv" in enabled:
-        mu0 = lambdas[0]
-        for f in vectors:
-            for g in vectors:
-                if f == g:
-                    continue
-                add(
-                    "rel_iv",
-                    {"f": _vec_param(f), "g": _vec_param(g), "mu": _scalar_param(mu0)},
-                    lambda f=f, g=g: check_relation_iv(
-                        caches, f, g, mu0, m, tol=tol, space=space, seed=seed
-                    ),
-                    tol,
-                )
-    if "almost_inner" in enabled:
-        lam0 = lambdas[0]
-        for probe in config.probes:
-            for f in vectors:
-                add(
-                    "almost_inner",
-                    {"f": _vec_param(f), "lambda": _scalar_param(lam0), "probe": probe},
-                    lambda probe=probe, f=f: check_almost_inner(
-                        caches, f, lam0, probe, m, tol=tol, space=space, seed=seed
-                    ),
-                    tol,
-                )
-
-    sigma_cross_max = _sigma_cross_validation(caches[-1], space, vectors, m, seed)
-    return SuiteResult(
-        config=config, checks=tuple(checks), sigma_cross_max=sigma_cross_max
+            checks.append(replace(check, seed=config.seed))
+    sigma_cross_max, sigma_cross_error = _sigma_cross_validation(
+        caches[-1], space, config.vectors, m, config.seed
     )
+    return SuiteResult(config, tuple(checks), sigma_cross_max, sigma_cross_error)
 
 
-def _sigma_cross_validation(cache, space, vectors, m, seed) -> float:
+def _sigma_cross_validation(cache, space, vectors, m, seed) -> tuple:
     """Pins the bilinear pairing against the scalar extracted from the
-    commutator of two field generators; raises if they disagree."""
+    commutator of two field generators.  Returns (largest gap, None), or
+    (inf, reason) at the first pair where they disagree."""
     worst = 0.0
     for f, g in _distinct_pairs(vectors):
         gf = cache.generator(f)
@@ -848,9 +732,9 @@ def _sigma_cross_validation(cache, space, vectors, m, seed) -> float:
         target = symplectic.pair(space, f, g)
         gap = abs(report.mean - target)
         if not report.is_scalar or gap > SIGMA_CROSS_TOL:
-            raise RuntimeError(
+            return math.inf, (
                 f"commutator scalar {report.mean} disagrees with the pairing "
                 f"{target} for f={f}, g={g} (gap {gap:.3e})"
             )
         worst = max(worst, gap)
-    return worst
+    return worst, None

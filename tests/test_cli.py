@@ -6,7 +6,9 @@ under different BLAS thread counts.
 """
 
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -15,6 +17,10 @@ import pytest
 
 from resalg import cohomology, fock
 from resalg.cli import main
+
+# reports of configs/{quick,default,two_mode}.json and of
+# tests/golden/edge_cases.config.json, see README.md for their environment
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +57,14 @@ def test_simplify_overflowing_literal_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "overflows" in err
+
+
+def test_simplify_rejects_config_flags(capsys):
+    # simplify reads no config, so it takes none of the config flags
+    code, out, err = run_cli(capsys, "simplify", "--tol", "1", "R(1,[1,0])")
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
 
 
 def test_simplify_json_mode(capsys):
@@ -151,7 +165,22 @@ def test_verify_reports_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _reports_by_blas_threads(tmp_path, *argv) -> list:
+def test_verify_cross_validation_failure_is_reported(capsys, tmp_path):
+    # with the box as large as the top truncation, the commutator probe
+    # sees the truncation's boundary defect and cross-validation fails
+    path = tmp_path / "report.json"
+    code, _, err = run_cli(
+        capsys, "verify", "--trunc", "8", "--compress", "8", "--out", str(path)
+    )
+    assert code == 1
+    report = json.loads(path.read_text())
+    assert report["all_pass"] is False
+    assert not math.isfinite(report["sigma_cross_max"])
+    assert "disagrees with the pairing" in report["sigma_cross_error"]
+    assert "sigma cross-validation failed" in err
+
+
+def _reports_by_blas_threads(tmp_path, *argv, returncode=0) -> list:
     """Runs the CLI in subprocesses with default BLAS threading and with
     OPENBLAS_NUM_THREADS=1; returns the two reports' bytes."""
     reports = []
@@ -165,7 +194,7 @@ def _reports_by_blas_threads(tmp_path, *argv) -> list:
             [sys.executable, "-m", "resalg.cli", *argv, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == returncode, proc.stderr
         reports.append(out.read_bytes())
     return reports
 
@@ -175,7 +204,28 @@ def test_verify_report_bytes_do_not_depend_on_blas_threads(tmp_path):
         reports = _reports_by_blas_threads(
             tmp_path, "verify", "--config", f"configs/{name}.json"
         )
-        assert reports[0] == reports[1], name
+        golden = (GOLDEN / f"{name}.report.json").read_bytes()
+        assert reports[0] == golden, name
+        assert reports[1] == golden, name
+    reports = _reports_by_blas_threads(
+        tmp_path, "verify", "--config", str(GOLDEN / "edge_cases.config.json"),
+        returncode=1,
+    )
+    golden = (GOLDEN / "edge_cases.report.json").read_bytes()
+    assert reports[0] == golden
+    assert reports[1] == golden
+
+
+def test_verify_edge_case_report_matches_golden(capsys, tmp_path):
+    # every family, a skipped rel_ii pair, failing checks and error entries
+    path = tmp_path / "report.json"
+    code, _, err = run_cli(
+        capsys, "verify", "--config", str(GOLDEN / "edge_cases.config.json"),
+        "--out", str(path),
+    )
+    assert code == 1
+    assert err == "failed families: almost_inner, rel_i, rel_ii, rel_iv\n"
+    assert path.read_bytes() == (GOLDEN / "edge_cases.report.json").read_bytes()
 
 
 def test_verify_unknown_subcommand_exits_2(capsys):

@@ -454,6 +454,34 @@ def test_suite_captures_check_errors():
     assert passed and all(c.verdict for c in passed)
 
 
+def test_suite_calls_checks_and_cache_through_module_attributes(monkeypatch):
+    # a tracer wraps verify.check_* and subclasses verify.SolverCache; the
+    # suite must reach both through the module at call time
+    check_calls = []
+    solver_levels = []
+    original = verify.check_zero_vector
+
+    def counting_check(*args, **kwargs):
+        check_calls.append(args)
+        return original(*args, **kwargs)
+
+    class CountingCache(verify.SolverCache):
+        def solver(self, z, f):
+            solver_levels.append(self.rep.levels)
+            return super().solver(z, f)
+
+    monkeypatch.setattr(verify, "check_zero_vector", counting_check)
+    monkeypatch.setattr(verify, "SolverCache", CountingCache)
+    cfg = verify.Config(
+        truncations=(8, 12), compression=4, families=("zero_vector", "adjoint")
+    )
+    result = verify.run_suite(cfg)
+    assert result.all_pass
+    zero_checks = [c for c in result if c.relation == "zero_vector"]
+    assert len(check_calls) == len(zero_checks) == len(cfg.lambdas)
+    assert set(solver_levels) == set(cfg.truncations)
+
+
 def test_suite_deterministic_report():
     cfg = verify.Config(truncations=(8, 12), compression=4)
     import json
