@@ -19,6 +19,7 @@ import json
 import pathlib
 import sys
 from dataclasses import replace
+from functools import cache, partial
 
 from resalg import cohomology, fock, symplectic, verify
 from resalg.expr import DomainError, ParseError, parse, simplify
@@ -163,32 +164,29 @@ def cmd_schur(args) -> int:
         "compression": config.compression,
         "seed": config.seed,
     }
-    if args.pair:
-        try:
+    # a malformed vector (ConfigError), ParseError, DomainError and a vector
+    # or letter of the wrong dimension are all ValueErrors
+    try:
+        if args.pair:
             left, right = args.pair.split(";")
             f, g = _parse_vector(left), _parse_vector(right)
             gf, gg = fock.generator(rep, f), fock.generator(rep, g)
-        except (verify.ConfigError, ValueError) as exc:
-            _eprint(f"error: {exc}")
-            return 2
-        prod = gf @ gg
-        k = -1j * (prod - prod.conj().T)
-        target = symplectic.pair(rep.space, f, g)
-        payload["mode"] = "commutator"
-        payload["pairing"] = target
-    else:
-        try:
+            prod = gf @ gg
+            k = -1j * (prod - prod.conj().T)
+            target = symplectic.pair(rep.space, f, g)
+            payload.update(mode="commutator", pairing=target)
+        else:
             expr = parse(args.expression)
-            k = fock.evaluate(rep, expr)
-        except (ParseError, DomainError) as exc:
-            _eprint(f"error: {exc}")
-            return 2
-        target = None
-        payload["mode"] = "expression"
-        payload["expression"] = str(expr)
-    report = fock.schur_constant(
-        rep, k, cutoff=config.compression, seed=config.seed
-    )
+            # applied only to the probe columns, by solves
+            k = partial(fock.apply_expr, expr, solver=verify.SolverCache(rep).solver)
+            target = None
+            payload.update(mode="expression", expression=str(expr))
+        report = fock.schur_constant(
+            rep, k, cutoff=config.compression, seed=config.seed
+        )
+    except ValueError as exc:
+        _eprint(f"error: {exc}")
+        return 2
     payload.update(
         {
             "mean": [report.mean.real, report.mean.imag],
@@ -212,15 +210,11 @@ def cmd_eval(args) -> int:
     except verify.ConfigError as exc:
         _eprint(f"config error: {exc}")
         return 2
-    try:
-        expr = parse(args.expression)
-    except (ParseError, DomainError) as exc:
-        _eprint(f"error: {exc}")
-        return 2
     rep = fock.build_rep(config.modes, config.truncations[0], config.max_dim)
-    try:
+    try:  # ParseError, DomainError or a letter of the wrong dimension
+        expr = parse(args.expression)
         matrix = fock.evaluate(rep, expr)
-    except DomainError as exc:
+    except ValueError as exc:
         _eprint(f"error: {exc}")
         return 2
     if args.out and not args.json:
@@ -240,6 +234,7 @@ def cmd_eval(args) -> int:
 # parser
 
 
+@cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resalg",

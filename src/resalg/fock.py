@@ -234,25 +234,30 @@ def resolvent_matrix(rep: FockRep, z, f) -> np.ndarray:
     return ResolventSolver(rep, z, f).matrix()
 
 
-def evaluate(rep: FockRep, e: Expr) -> np.ndarray:
-    """Homomorphic evaluation of an expression.
-
-    Each word is applied to the identity by successive solves, with one
-    factorization per distinct letter, instead of multiplying formed
-    inverses.
-    """
-    solvers = {}
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    eye = np.eye(rep.dim, dtype=complex)
+def apply_expr(e: Expr, block: np.ndarray, solver) -> np.ndarray:
+    """Returns e @ block without forming e: each word is applied to the
+    block by successive solves, rightmost letter first.  `solver(z, f)`
+    returns the ResolventSolver of the letter R(z, f)."""
+    out = np.zeros(block.shape, dtype=complex)
     for coeff, word in e.terms:
-        acc = eye
+        acc = block
         for g in reversed(word):
-            key = (g.z, g.f)
-            if key not in solvers:
-                solvers[key] = ResolventSolver(rep, g.z, g.f)
-            acc = solvers[key].apply(acc)
+            acc = solver(g.z, g.f).apply(acc)
         out += coeff * acc
     return out
+
+
+def evaluate(rep: FockRep, e: Expr) -> np.ndarray:
+    """Homomorphic evaluation of an expression: `apply_expr` on the
+    identity, with one factorization per distinct letter."""
+    solvers = {}
+
+    def solver(z, f):
+        if (z, f) not in solvers:
+            solvers[z, f] = ResolventSolver(rep, z, f)
+        return solvers[z, f]
+
+    return apply_expr(e, np.eye(rep.dim, dtype=complex), solver)
 
 
 def box_indices(rep: FockRep, cutoff: int) -> np.ndarray:
@@ -311,16 +316,19 @@ def schur_constant(
     random_probes: int = 10,
 ) -> SchurReport:
     """Rayleigh quotients <phi, K phi>/<phi, phi> over the columns of
-    `probe_block`."""
+    `probe_block`.  K is a dense or sparse matrix, or a function that
+    applies K to a block of columns, so K itself need not be formed."""
     from scipy import sparse
 
-    if not sparse.issparse(k):  # sparse operators multiply the probes as they are
-        k = np.asarray(k, dtype=complex)
-    if k.shape != (rep.dim, rep.dim):
-        raise ValueError(f"matrix shape {k.shape} does not match dim {rep.dim}")
+    if not callable(k):
+        if not sparse.issparse(k):  # sparse operators multiply the probes as they are
+            k = np.asarray(k, dtype=complex)
+        if k.shape != (rep.dim, rep.dim):
+            raise ValueError(f"matrix shape {k.shape} does not match dim {rep.dim}")
+        k = k.__matmul__  # one product for every probe column
     probes = probe_block(rep, cutoff, seed, random_probes)
     n_probes = probes.shape[1]
-    applied = k @ probes  # one product for every probe column
+    applied = k(probes)
     values = np.einsum("ij,ij->j", probes.conj(), applied)
     values /= np.einsum("ij,ij->j", probes.conj(), probes).real
     mean = complex(np.mean(values))

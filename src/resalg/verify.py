@@ -19,6 +19,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -391,7 +392,8 @@ def check_almost_inner(reps, f, lam, probe, m, tol=1e-6, space=None):
     their derivative is taken as the commutator i[G_f, A], which makes the
     identity exact in matrix algebra.  Expression probes go through the
     symbolic derivation rule instead, which is where truncation shows up, so
-    they fall under the convergence protocol.
+    they fall under the convergence protocol; they and their derivation are
+    applied to the box columns by solves (`fock.apply_expr`), never formed.
     """
     caches = _as_caches(reps)
     if isinstance(probe, Expr):
@@ -408,17 +410,18 @@ def check_almost_inner(reps, f, lam, probe, m, tol=1e-6, space=None):
         deriv_expr = derivation(sp, f, probe_expr)
 
     def residual(cache, idx, sel):
-        rep = cache.rep
         a = cache.solver(lam, f)
         if exact:
-            mat = _probe_matrix(rep, probe_id)
+            mat = _probe_matrix(cache.rep, probe_id)
             gf = cache.generator(f)
             deriv = 1j * (gf @ mat - mat @ gf)
-        else:
-            mat = fock.evaluate(rep, probe_expr)
-            deriv = fock.evaluate(rep, deriv_expr)
-        block = a.apply(deriv @ a.apply(sel))
-        block -= 1j * (mat @ a.apply(sel) - a.apply(mat @ sel))
+            apply_probe, apply_deriv = mat.__matmul__, deriv.__matmul__
+        else:  # by solves, with the letters factored in the level's cache
+            apply_probe = partial(fock.apply_expr, probe_expr, solver=cache.solver)
+            apply_deriv = partial(fock.apply_expr, deriv_expr, solver=cache.solver)
+        x = a.apply(sel)
+        block = a.apply(apply_deriv(x))
+        block -= 1j * (apply_probe(x) - a.apply(apply_probe(sel)))
         return block[idx]
 
     params = _params(f, lam=lam, probe=probe_id)

@@ -20,14 +20,16 @@ F_POOL = (
 )
 
 
-def random_expression(rng: np.random.Generator, n_terms_max=3, word_max=4) -> expr.Expr:
+def random_expression(
+    rng: np.random.Generator, n_terms_max=3, word_max=4, f_pool=F_POOL
+) -> expr.Expr:
     terms = []
     for _ in range(int(rng.integers(1, n_terms_max + 1))):
         length = int(rng.integers(0, word_max + 1))
         word = tuple(
             expr.Generator(
                 Z_POOL[int(rng.integers(len(Z_POOL)))],
-                F_POOL[int(rng.integers(len(F_POOL)))],
+                f_pool[int(rng.integers(len(f_pool)))],
             )
             for _ in range(length)
         )

@@ -17,6 +17,7 @@ import pytest
 
 from resalg import cohomology, fock
 from resalg.cli import main
+from resalg.expr import parse
 
 # reports of configs/{quick,default,two_mode}.json and of
 # tests/golden/edge_cases.config.json, see README.md for their environment
@@ -340,6 +341,30 @@ def test_schur_non_scalar_exits_1(capsys):
     assert json.loads(out)["is_scalar"] is False
 
 
+def test_schur_expression_probes_without_dense_evaluation(capsys, monkeypatch):
+    text = "R(1,[1,0])*R(2,[0,1]) - R(2,[0,1])*R(1,[1,0])"
+    rep = fock.build_rep(1, 32)
+    dense = fock.schur_constant(rep, fock.evaluate(rep, parse(text)), cutoff=6)
+
+    def no_evaluate(rep, e):
+        raise AssertionError("schur formed a dense evaluation")
+
+    monkeypatch.setattr(fock, "evaluate", no_evaluate)
+    code, out, _ = run_cli(capsys, "schur", text, "--trunc", "32")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["probes_used"] == dense.probes_used
+    assert abs(complex(*payload["mean"]) - dense.mean) <= 1e-13 * abs(dense.mean)
+    assert abs(payload["max_deviation"] - dense.max_deviation) <= 1e-13
+
+
+def test_schur_letter_of_wrong_dimension_exits_2(capsys):
+    code, out, err = run_cli(capsys, "schur", "R(1,[1,0,0,0])", "--trunc", "8")
+    assert code == 2
+    assert out == ""
+    assert err == "error: vector has shape (4,), expected (2,)\n"
+
+
 def test_schur_requires_an_operand(capsys):
     code, _, _ = run_cli(capsys, "schur")
     assert code == 2
@@ -395,6 +420,27 @@ def test_eval_json_file(capsys, tmp_path):
 def test_eval_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "R(oops", "--trunc", "8")
     assert code == 2
+
+
+def test_eval_letter_of_wrong_dimension_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--trunc", "8", "--compress", "2", "R(1,[1,0,0,0])"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: vector has shape (4,), expected (2,)\n"
+
+
+def test_eval_options_do_not_leak_between_calls(capsys):
+    # the parser is built once per process; each call starts from its defaults
+    code, out, _ = run_cli(
+        capsys, "eval", "--trunc", "8", "--compress", "2", "--json", "I"
+    )
+    assert code == 0
+    assert json.loads(out)["truncation"] == 8
+    code, out, _ = run_cli(capsys, "eval", "--json", "I")
+    assert code == 0
+    assert json.loads(out)["truncation"] == 64
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Tests for the truncated Fock realization."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from resalg import fock, symplectic
+from conftest import F_POOL, random_expression
+from resalg import fock, symplectic, verify
 from resalg.expr import DomainError, parse, resolvent
 
 
@@ -217,6 +220,77 @@ def test_evaluate_power():
     e = resolvent(1.0, (1.0, 0.5)) ** 3
     r = fock.resolvent_matrix(rep, 1.0, (1.0, 0.5))
     assert np.allclose(fock.evaluate(rep, e), r @ r @ r, atol=1e-12)
+
+
+def _evaluate_reference(rep, e):
+    # the word loop that evaluate ran before apply_expr existed
+    solvers = {}
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    eye = np.eye(rep.dim, dtype=complex)
+    for coeff, word in e.terms:
+        acc = eye
+        for g in reversed(word):
+            key = (g.z, g.f)
+            if key not in solvers:
+                solvers[key] = fock.ResolventSolver(rep, g.z, g.f)
+            acc = solvers[key].apply(acc)
+        out += coeff * acc
+    return out
+
+
+# identity terms, a repeated letter and the zero vector, in one and two modes
+_FIXED_EXPRESSIONS = {
+    1: "2*I + R(1,[0,0])*R(1,[0,0]) - (0.5+1i)*R(2,[1,1])*R(-1,[0,1])*R(2,[1,1])",
+    2: "(0-1i)*I + R(1,[0,0,0,0])*R(1,[0,0,0,0]) + R(2,[1,0,0,1])^2*R(-1,[0,1,1,0])",
+}
+# the one-mode pool of conftest with each vector on mode 1 or mode 2
+_F_POOL_2M = tuple((*f, 0.0, 0.0) for f in F_POOL) + tuple(
+    (0.0, 0.0, *f) for f in F_POOL
+)
+
+
+def _expressions(modes):
+    rng = np.random.default_rng(61 + modes)
+    pool = F_POOL if modes == 1 else _F_POOL_2M
+    return [parse(_FIXED_EXPRESSIONS[modes])] + [
+        random_expression(rng, f_pool=pool) for _ in range(12)
+    ]
+
+
+@pytest.mark.parametrize("modes, levels", [(1, 24), (2, 6)])
+def test_evaluate_equals_reference_loop(modes, levels):
+    rep = fock.build_rep(modes, levels)
+    for e in _expressions(modes):
+        reference = _evaluate_reference(rep, e)
+        assert np.array_equal(fock.evaluate(rep, e), reference), str(e)
+
+
+@pytest.mark.parametrize("modes, levels, cutoff", [(1, 24, 6), (2, 6, 3)])
+def test_apply_expr_matches_evaluated_matrix(modes, levels, cutoff):
+    rep = fock.build_rep(modes, levels)
+    block = fock.probe_block(rep, cutoff, seed=5, random_probes=3)
+    block[:, -1] = np.random.default_rng(9).standard_normal(rep.dim)  # a full column
+    solver = verify.SolverCache(rep).solver
+    for e in _expressions(modes):
+        expected = fock.evaluate(rep, e) @ block
+        got = fock.apply_expr(e, block, solver)
+        assert got.shape == block.shape
+        gap = np.linalg.norm(got - expected)
+        assert gap <= 1e-13 * np.linalg.norm(expected), str(e)
+        # Schur probing through the block agrees with probing the formed matrix
+        applied = partial(fock.apply_expr, e, solver=solver)
+        by_block = fock.schur_constant(rep, applied, cutoff)
+        by_matrix = fock.schur_constant(rep, fock.evaluate(rep, e), cutoff)
+        gap = abs(by_block.mean - by_matrix.mean)
+        assert gap <= 1e-13 * max(1.0, abs(by_matrix.mean))
+        assert by_block.probes_used == by_matrix.probes_used
+
+
+def test_apply_expr_of_zero_is_zero():
+    rep = fock.build_rep(1, 8)
+    block = np.ones((8, 2), dtype=complex)
+    out = fock.apply_expr(parse("0"), block, lambda z, f: pytest.fail("no letter"))
+    assert np.array_equal(out, np.zeros((8, 2)))
 
 
 def test_evaluate_respects_rewriting():

@@ -482,6 +482,35 @@ def test_suite_calls_checks_and_cache_through_module_attributes(monkeypatch):
     assert set(solver_levels) == set(cfg.truncations)
 
 
+def test_suite_expression_probe_forms_no_dense_evaluation(monkeypatch):
+    # expression probes are applied to the box columns through the level's
+    # solver cache: no dense evaluation, and the probe's letter R(1,[0,1])
+    # reuses the factorization of R(lam0, f) at f = (0, 1)
+    def no_evaluate(rep, e):
+        raise AssertionError("verify formed a dense evaluation")
+
+    factored = []
+
+    class CountingSolver(fock.ResolventSolver):
+        def __init__(self, rep, z, f):
+            factored.append((rep.levels, complex(z), tuple(f)))
+            super().__init__(rep, z, f)
+
+    monkeypatch.setattr(fock, "evaluate", no_evaluate)
+    monkeypatch.setattr(fock, "ResolventSolver", CountingSolver)
+    cfg = verify.Config(
+        truncations=(64, 128, 256),
+        probes=("R(1,[0,1])", "Q1*P1"),
+        families=("almost_inner",),
+    )
+    result = verify.run_suite(cfg)
+    assert result.all_pass
+    assert len(result) == 2 * len(cfg.vectors)
+    assert sorted(factored) == sorted(
+        (n, 1.0 + 0j, f) for n in cfg.truncations for f in cfg.vectors
+    )
+
+
 def test_suite_deterministic_report():
     cfg = verify.Config(truncations=(8, 12), compression=4)
     import json
