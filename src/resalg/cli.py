@@ -22,7 +22,7 @@ from dataclasses import replace
 from functools import cache, partial
 
 from resalg import cohomology, fock, symplectic, verify
-from resalg.expr import DomainError, ParseError, parse, simplify
+from resalg.expr import DomainError, ParseError, check_dimension, parse, simplify
 
 
 def _eprint(message: str):
@@ -177,6 +177,7 @@ def cmd_schur(args) -> int:
             payload.update(mode="commutator", pairing=target)
         else:
             expr = parse(args.expression)
+            check_dimension(expr, rep.space.dim)
             # applied only to the probe columns, by solves
             k = partial(fock.apply_expr, expr, solver=verify.SolverCache(rep).solver)
             target = None
@@ -213,6 +214,7 @@ def cmd_eval(args) -> int:
     rep = fock.build_rep(config.modes, config.truncations[0], config.max_dim)
     try:  # ParseError, DomainError or a letter of the wrong dimension
         expr = parse(args.expression)
+        check_dimension(expr, rep.space.dim)
         matrix = fock.evaluate(rep, expr)
     except ValueError as exc:
         _eprint(f"error: {exc}")

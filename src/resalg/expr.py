@@ -255,6 +255,15 @@ def equal_symbolic(a: Expr, b: Expr) -> Equivalence:
     return Equivalence.UNKNOWN
 
 
+def check_dimension(e: Expr, dim: int) -> None:
+    """Raises ValueError at the first letter whose vector does not have
+    dimension `dim`, the dimension of the phase space."""
+    for _, word in e.terms:
+        for g in word:
+            if len(g.f) != dim:
+                raise ValueError(f"letter has dimension {len(g.f)}, space has {dim}")
+
+
 def derivation(space, f, e: Expr) -> Expr:
     """Leibniz action of the infinitesimal symplectic translation along f.
 
@@ -263,13 +272,10 @@ def derivation(space, f, e: Expr) -> Expr:
     from resalg import symplectic
 
     fv = symplectic.as_vector(space, f)
+    check_dimension(e, space.dim)
     new_terms = []
     for coeff, word in e.terms:
         for i, g in enumerate(word):
-            if len(g.f) != space.dim:
-                raise ValueError(
-                    f"letter has dimension {len(g.f)}, space has {space.dim}"
-                )
             s = symplectic.pair(space, fv, g.f)
             if s == 0.0:
                 continue

@@ -13,16 +13,19 @@ below the boundary behaves canonically.
 Each Q_k and P_k, a tridiagonal matrix padded by Kronecker products with
 identities, is stored as its values on one sparse (CSC) pattern that all of
 them and the identity share, so a generator G_f or a shifted iz + G_f is one
-weighted sum of value rows.  A resolvent is a SuperLU factorization of the
-sparse iz + G_f that solves for blocks of columns.  Dense matrices are
+weighted sum of value rows.  A resolvent (`ResolventSolver`) applies
+(iz + G_f)^-1 to blocks of columns without forming it: with one mode by a
+SuperLU factorization of the sparse iz + G_f, with two or more by the
+eigenbasis of one mode's truncated Q (`FockRep.basis`).  Dense matrices are
 formed only on request: full resolvents, evaluated expressions and the
-dense copies of Q_k, P_k and G_f.  scipy's sparse modules are imported on
-first use, so importing this module does not load them.
+dense copies of Q_k, P_k and G_f.  scipy is imported on first use, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -78,6 +81,20 @@ class FockRep:
     def momentum(self) -> tuple:
         """Dense read-only P_k, built on first access."""
         return tuple(_dense_entries(self, 2 * k + 1) for k in range(self.modes))
+
+    @cached_property
+    def basis(self) -> tuple:
+        """(U, x) with Q = U diag(x) U^T for one mode's truncated Q, which
+        every mode shares; built on first access, read-only.  Q is real
+        symmetric tridiagonal, so U is real orthogonal, and x are the
+        Gauss-Hermite nodes in ascending order (Golub & Welsch 1969)."""
+        from scipy.linalg import eigh_tridiagonal
+
+        offdiag = np.sqrt(np.arange(1, self.levels) / 2.0)
+        x, u = eigh_tridiagonal(np.zeros(self.levels), offdiag)
+        for arr in (u, x):
+            arr.setflags(write=False)
+        return u, x
 
 
 def _csc(rep: FockRep, data: np.ndarray):
@@ -173,17 +190,45 @@ def _probes(dim: int) -> np.ndarray:
     return probes
 
 
-class ResolventSolver:
-    """SuperLU-factored (iz + G_f); applies the resolvent without forming it.
+def _spectral(rep: FockRep) -> bool:
+    """The backend choice of `ResolventSolver`, by its cost model."""
+    return rep.modes > 1
 
-    Construction solves three probe columns and keeps the residual norm as
-    `backward_error`; a factorization that misses PROBE_RESIDUAL_TOL raises
-    RuntimeError there, so every solve path carries the same guard.
+
+class ResolventSolver:
+    """Applies R = (iz + G_f)^-1 to blocks of columns without forming it.
+
+    One mode: a SuperLU factorization of the sparse iz + G_f.  Q is
+    tridiagonal, so its factors have no fill and a solve costs O(N) per
+    column.
+
+    Two or more modes: the Kronecker-spectral form.  The number operator is
+    diagonal, so a Q + b P = r e^{i theta N} Q e^{-i theta N} exactly on the
+    truncated space, with a = r cos(theta), b = r sin(theta).  With
+    Q = U diag(x) U^T (`FockRep.basis`) and G_f a Kronecker sum over modes,
+    R = V diag(1/(iz + sum_k r_k x_{j_k})) V* with V = (x)_k e^{i theta_k N} U
+    (the fast diagonalization method of Lynch, Rice & Thomas 1964).  The
+    solver keeps the phases e^{i theta_k N} and that diagonal; a solve
+    contracts U^T and U along one mode axis at a time and skips the modes
+    where f vanishes.
+
+    The cost model, for n modes of N levels: the spectral set-up is O(N^n)
+    per solver on top of one N x N eigensystem per representation, and a
+    solve costs 2nN multiply-adds per column entry, in dense real matrix
+    products.  SuperLU on one mode costs O(N) to set up and O(1) per column
+    entry, which a dense U cannot match, so one mode stays on SuperLU.  From
+    two modes on, the LU of iz + G_f fills in: its set-up grows like N^3 for
+    two modes and faster for three, and the measured solves with the filled
+    factors are slower than the contractions (scripts/bench_resolvent.py).
+
+    Construction solves three probe columns and keeps the residual norm
+    against the sparse iz + G_f as `backward_error`, so the eigenbasis is
+    checked against the ladder operators as the LU factors are; a solver
+    that misses PROBE_RESIDUAL_TOL raises RuntimeError there, so every
+    solve path carries the same guard.
     """
 
     def __init__(self, rep: FockRep, z, f):
-        from scipy.sparse.linalg import splu
-
         z = complex(z)
         if z.real == 0.0:
             raise DomainError(f"resolvent parameter z={z} requires Re(z) != 0")
@@ -192,18 +237,63 @@ class ResolventSolver:
         self.dim = rep.dim
         self._matrix_a = generator(rep, f, sparse=True)
         self._matrix_a.data[rep.diagonal] += 1j * z
-        self._lu = splu(self._matrix_a)
+        if _spectral(rep):
+            self._lu = None
+            self._spectral_setup(rep, z)
+        else:
+            from scipy.sparse.linalg import splu
+
+            self._lu = splu(self._matrix_a)
         self._full = None
-        self.backward_error = self._check(self._lu.solve(_probes(self.dim)))
+        self.backward_error = self._check(self._solve(_probes(self.dim), False))
+
+    def _spectral_setup(self, rep: FockRep, z: complex):
+        u, x = rep.basis
+        fv = symplectic.as_vector(rep.space, self.f)
+        levels = np.arange(rep.levels)
+        self._u = u
+        self._levels = rep.levels
+        # (k, e^{i theta_k N}) for every mode k that f touches
+        self._phases = []
+        denom = np.full((1,) * rep.modes, 1j * z)
+        for k in range(rep.modes):
+            a, b = fv[2 * k], fv[2 * k + 1]
+            if a == 0.0 and b == 0.0:
+                continue
+            # theta in (-pi/2, pi/2] and r signed, so that f and -f share
+            # their phases exactly and only r changes sign
+            sign = -1.0 if a < 0.0 or (a == 0.0 and b < 0.0) else 1.0
+            a, b = sign * a, sign * b
+            self._phases.append((k, np.exp(1j * math.atan2(b, a) * levels)))
+            shape = [1] * rep.modes
+            shape[k] = rep.levels
+            denom = denom + sign * math.hypot(a, b) * x.reshape(shape)
+        full = (rep.levels,) * rep.modes
+        self._inverse = np.broadcast_to(1.0 / denom, full).reshape(-1, 1)
+
+    def _solve(self, block: np.ndarray, adjoint: bool) -> np.ndarray:
+        if self._lu is not None:
+            return self._lu.solve(block, trans="H") if adjoint else self._lu.solve(block)
+        n = self._levels
+        y = np.asarray(block, dtype=complex).reshape(self.dim, -1)
+        # V* y, then the diagonal, then V: mode k is axis 1 of the
+        # (n**k, n, rest) view, and U acts on the real and imaginary parts
+        for k, phase in self._phases:
+            y = _real_matmul(self._u.T, y.reshape(n ** k, n, -1) * phase.conj()[:, None])
+        y = y.reshape(self.dim, -1) * (self._inverse.conj() if adjoint else self._inverse)
+        for k, phase in self._phases:
+            y = _real_matmul(self._u, y.reshape(n ** k, n, -1)) * phase[:, None]
+        return y.reshape(np.shape(block))
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """Returns R @ block."""
-        return self._lu.solve(block)
+        return self._solve(block, False)
 
     def apply_adjoint(self, block: np.ndarray) -> np.ndarray:
-        """Returns R* @ block, a conjugate-transpose solve with the same
-        factors (checked by the same factor-time probe as `apply`)."""
-        return self._lu.solve(block, trans="H")
+        """Returns R* @ block: a conjugate-transpose solve with the same
+        factors, or the conjugate diagonal in the same eigenbasis (checked by
+        the same construction-time probe as `apply`)."""
+        return self._solve(block, True)
 
     def matrix(self) -> np.ndarray:
         """The full resolvent, formed once per solver; read-only."""
@@ -229,8 +319,15 @@ class ResolventSolver:
         return err
 
 
+def _real_matmul(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a @ y for a real matrix a and a stack y of complex matrices, as one
+    real product on the interleaved real and imaginary parts."""
+    y = np.ascontiguousarray(y)
+    return np.matmul(a, y.view(np.float64)).view(complex)
+
+
 def resolvent_matrix(rep: FockRep, z, f) -> np.ndarray:
-    """Dense resolvent (iz + G_f)^-1 via the sparse LU factors; read-only."""
+    """Dense resolvent (iz + G_f)^-1 via `ResolventSolver`; read-only."""
     return ResolventSolver(rep, z, f).matrix()
 
 

@@ -19,7 +19,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -141,6 +141,28 @@ def _orthogonalize(x: np.ndarray, basis: list) -> np.ndarray:
     return x - np.einsum("kn,k->n", b, np.einsum("kn,n->k", b.conj(), x))
 
 
+@cache
+def _stebz():
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("stebz",), (np.zeros(1),))[0]
+
+
+def _top_eigenvalue(e: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal with zero diagonal
+    and off-diagonal e, by LAPACK ?stebz bisection: the call that
+    `scipy.linalg.eigvalsh_tridiagonal(..., select="i")` makes, without its
+    per-call argument checks."""
+    if not np.isfinite(e).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = len(e) + 1
+    # range by index (2), il = iu = n, absolute tolerance 0 (LAPACK default)
+    _, w, _, _, info = _stebz()(np.zeros(n), e, 2, 0.0, 1.0, n, n, 0.0, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?stebz failed with info {info}")
+    return float(w[0])
+
+
 def _spectral_norm(matvec, rmatvec, n: int) -> float:
     """Largest singular value of the n x n operator x -> matvec(x), whose
     adjoint is rmatvec, without forming it.
@@ -155,8 +177,6 @@ def _spectral_norm(matvec, rmatvec, n: int) -> float:
     invariant subspace, or the zero operator, which gives 0.0), or after n
     steps.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= _vector_norm(v)
@@ -171,13 +191,7 @@ def _spectral_norm(matvec, rmatvec, n: int) -> float:
         if alpha == 0.0 and not us:
             return 0.0
         prev = sigma
-        e = np.array(offdiag)
-        sigma = float(
-            eigvalsh_tridiagonal(
-                np.zeros(len(e) + 1), e, select="i",
-                select_range=(len(e), len(e)),
-            )[0]
-        )
+        sigma = _top_eigenvalue(np.array(offdiag))
         if alpha == 0.0 or abs(sigma - prev) <= LANCZOS_RTOL * sigma:
             break
         u = u / alpha

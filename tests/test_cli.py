@@ -362,7 +362,7 @@ def test_schur_letter_of_wrong_dimension_exits_2(capsys):
     code, out, err = run_cli(capsys, "schur", "R(1,[1,0,0,0])", "--trunc", "8")
     assert code == 2
     assert out == ""
-    assert err == "error: vector has shape (4,), expected (2,)\n"
+    assert err == "error: letter has dimension 4, space has 2\n"
 
 
 def test_schur_requires_an_operand(capsys):
@@ -428,7 +428,7 @@ def test_eval_letter_of_wrong_dimension_exits_2(capsys):
     )
     assert code == 2
     assert out == ""
-    assert err == "error: vector has shape (4,), expected (2,)\n"
+    assert err == "error: letter has dimension 4, space has 2\n"
 
 
 def test_eval_options_do_not_leak_between_calls(capsys):

@@ -202,6 +202,104 @@ def test_broken_factorization_raises_at_construction(monkeypatch):
         fock.ResolventSolver(rep, 1.0, (1.0, 0.0))
 
 
+def _solver_pair(monkeypatch, rep, z, f):
+    """The same resolvent from both backends: (spectral, SuperLU)."""
+    out = []
+    for spectral in (True, False):
+        monkeypatch.setattr(fock, "_spectral", lambda rep, s=spectral: s)
+        out.append(fock.ResolventSolver(rep, z, f))
+    return out
+
+
+@pytest.mark.parametrize(
+    "modes, levels, z, f",
+    [
+        (1, 64, 1.0 - 0.5j, (0.7, -1.3)),
+        (1, 64, -2.0, (-1.0, 0.0)),
+        (2, 16, -2.0 + 1.0j, (1.0, 1.0, 1.0, 1.0)),
+        (2, 16, 0.5 + 2.0j, (0.0, -1.5, -0.3, 0.8)),
+        (2, 16, 1.5, (0.0, 0.0, 0.0, 2.0)),
+        (3, 8, 0.75 + 2.0j, (-0.4, 0.9, 0.0, 0.0, 1.2, -0.6)),
+        (3, 8, -1.0 - 1.0j, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    ],
+)
+def test_spectral_backend_matches_superlu_on_box(monkeypatch, modes, levels, z, f):
+    rep = fock.build_rep(modes, levels)
+    spectral, lu = _solver_pair(monkeypatch, rep, z, f)
+    assert spectral._lu is None and lu._lu is not None
+    idx = fock.box_indices(rep, 4 if modes < 3 else 3)
+    sel = np.zeros((rep.dim, len(idx)), dtype=complex)
+    sel[idx, np.arange(len(idx))] = 1.0
+    for got, expected in (
+        (spectral.apply(sel)[idx], lu.apply(sel)[idx]),
+        (spectral.apply_adjoint(sel)[idx], lu.apply_adjoint(sel)[idx]),
+        (spectral.apply(sel[:, 0]), lu.apply(sel[:, 0])),
+        (spectral.matrix(), lu.matrix()),
+    ):
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_multi_mode_solvers_use_the_spectral_backend():
+    assert fock.ResolventSolver(fock.build_rep(1, 8), 1.0, (1.0, 0.0))._lu is not None
+    assert fock.ResolventSolver(fock.build_rep(2, 8), 1.0, (1.0,) * 4)._lu is None
+
+
+def test_spectral_solver_of_a_negated_vector_is_exactly_scaled():
+    # f and -f share their phases; only the sign of r changes, so
+    # c R(c lam, c f) = R(lam, f) holds bit for bit at c = -1
+    rep = fock.build_rep(2, 12)
+    f = (-0.5, 1.25, 0.0, -2.0)
+    plain = fock.ResolventSolver(rep, 1.0, f)
+    negated = fock.ResolventSolver(rep, -1.0, tuple(-x for x in f))
+    block = np.eye(rep.dim, 5, dtype=complex)
+    assert np.array_equal(-negated.apply(block), plain.apply(block))
+
+
+@pytest.mark.parametrize("planted", ["eigenvectors", "eigenvalues"])
+def test_bad_basis_raises_at_construction(planted):
+    rep = fock.build_rep(2, 8)
+    u, x = rep.basis
+    if planted == "eigenvectors":
+        u = u + 1e-6 * np.random.default_rng(3).standard_normal(u.shape)
+    else:
+        x = x + 1e-6
+    rep.__dict__["basis"] = (u, x)  # what the cached property would hold
+    with pytest.raises(RuntimeError, match="probe residual .* condition estimate"):
+        fock.ResolventSolver(rep, 1.0, (1.0, 0.5, -1.0, 0.0))
+
+
+def test_basis_is_built_once_per_rep(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    real = scipy.linalg.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    rep = fock.build_rep(2, 10)
+    for z, f in ((1.0, (1.0, 0.0, 0.0, 1.0)), (-2.0, (0.0, 1.0, 1.0, 0.0))):
+        fock.ResolventSolver(rep, z, f).matrix()
+    assert len(calls) == 1
+    assert rep.basis is rep.basis
+    with pytest.raises(ValueError):
+        rep.basis[0][0, 0] = 0.0
+
+
+def test_basis_nodes_are_gauss_hermite():
+    rep = fock.build_rep(2, 64)
+    u, x = rep.basis
+    nodes, _ = np.polynomial.hermite.hermgauss(64)
+    assert np.max(np.abs(x - nodes)) <= 1e-13
+    # Q = U diag(x) U^T on one mode, with U orthogonal
+    q = fock.build_rep(1, 64).position[0]
+    assert np.linalg.norm(q @ u - u * x) <= 1e-13 * np.linalg.norm(q)
+    assert np.linalg.norm(u.T @ u - np.eye(64)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # expression evaluation
 

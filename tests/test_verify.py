@@ -138,6 +138,28 @@ def test_relation_iii_planted_defect_matches_dense_norm(modes, levels):
     assert not check.verdict
 
 
+def test_top_eigenvalue_is_bitwise_eigvalsh_tridiagonal():
+    # the direct ?stebz call returns exactly what the checked scipy wrapper
+    # returns, on off-diagonals scaled from 1e-17 to 1e2, some with a zero
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    rng = np.random.default_rng(2024)
+    for i in range(1180):
+        k = int(rng.integers(1, 80))
+        e = np.abs(rng.standard_normal(k)) * 10.0 ** rng.uniform(-17, 2)
+        if i % 5 == 0:
+            e[rng.integers(0, k)] = 0.0
+        expected = eigvalsh_tridiagonal(
+            np.zeros(k + 1), e, select="i", select_range=(k, k)
+        )[0]
+        assert verify._top_eigenvalue(e) == expected
+
+
+def test_top_eigenvalue_rejects_non_finite_input():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        verify._top_eigenvalue(np.array([1.0, np.nan]))
+
+
 def test_spectral_norm_of_a_random_matrix():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
