@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Times both resolvent backends of `fock.ResolventSolver` on one grid.
+"""Times the resolvent backends of `fock.ResolventSolver` against SuperLU.
 
-For each (modes, N) point the same resolvent R(z, f) is built with the
-SuperLU backend and with the Kronecker-spectral one, and three costs are
-timed: set-up (construction, including the probe guard),
-a 1-column apply and a 9-column apply of low-lying basis states.  The
-per-representation eigenbasis that every spectral solver of a
-representation shares is timed on its own (`basis_s`).  Each
-figure is the fastest of a few repeats.  The spectral backend at one mode
-is the dense-U path the solver's cost model rejects, timed here to show
-why.  The two backends' 9-column results are compared as a differential
-check.
+For each (modes, N) point the same resolvent R(z, f) is built three ways,
+and three costs are timed for each: set-up (construction, including the
+probe residual), a 1-column apply and a 9-column apply of low-lying basis
+states.  The paths are
+
+- `tridiagonal`: the package solver at one mode, LAPACK ?gttrf/?gttrs;
+- `spectral`: the Kronecker-spectral backend, the package solver from two
+  modes on.  At one mode it is the dense-U path that the solver's cost
+  model rejects, pinned here to show why;
+- `superlu`: scipy's SuperLU of the sparse iz + G_f with the same probe
+  residual, built here as the reference that the package no longer uses.
+
+The per-representation eigenbasis that every spectral solver of a
+representation shares is timed on its own (`basis_s`).  Each figure is the
+fastest of a few repeats.  Every path's 9-column result is compared with
+SuperLU's as a differential check (`rel_gap_9col`).
 
 BLAS runs single-threaded unless OPENBLAS_NUM_THREADS is set beforehand;
 the environment (CPUs, BLAS libraries, thread setting) is recorded with the
@@ -36,8 +42,9 @@ import numpy as np  # noqa: E402
 
 from resalg import fock  # noqa: E402
 
-# the (modes, N) grid of the spectral-backend prototype in ROADMAP item 3
-GRID = "1x1024,2x64,2x128,3x16,3x32"
+# one mode at the verify suites' N=64 and at N=1024, then the grid of the
+# spectral-backend prototype in ROADMAP item 3
+GRID = "1x64,1x1024,2x64,2x128,3x16,3x32"
 Z = 1.0 - 0.5j
 REPEATS = 5
 # stop repeating a measurement once it has taken this long in total
@@ -54,10 +61,27 @@ def _fastest(fn) -> float:
     return min(times)
 
 
-def _solver(rep, f, spectral: bool):
-    # the backend choice is a function of the representation; pin it
+class SuperLUReference:
+    """R(Z, f) by scipy's SuperLU of the sparse iz + G_f, with the probe
+    residual that `fock.ResolventSolver` computes at construction."""
+
+    def __init__(self, rep, f):
+        from scipy.sparse.linalg import splu
+
+        a = fock.generator(rep, f, sparse=True)
+        a.data[rep.diagonal] += 1j * Z
+        self._lu = splu(a)
+        probes = fock._probes(rep.dim)
+        self.backward_error = float(np.linalg.norm(a @ self.apply(probes) - probes))
+
+    def apply(self, block):
+        return self._lu.solve(block)
+
+
+def _spectral_solver(rep, f):
+    # from two modes on the package's own choice; at one mode, pinned
     chosen = fock._spectral
-    fock._spectral = lambda rep: spectral
+    fock._spectral = lambda rep: True
     try:
         return fock.ResolventSolver(rep, Z, f)
     finally:
@@ -77,28 +101,31 @@ def bench_point(modes: int, levels: int) -> list:
     idx = fock.box_indices(rep, cutoff)[:9]
     block = np.zeros((rep.dim, len(idx)), dtype=complex)
     block[idx, np.arange(len(idx))] = 1.0
-    rows, results = [], {}
+    paths = {"superlu": lambda: SuperLUReference(rep, f)}
+    if modes == 1:
+        paths["tridiagonal"] = lambda: fock.ResolventSolver(rep, Z, f)
+    paths["spectral"] = lambda: _spectral_solver(rep, f)
     basis = _basis_time(modes, levels)
     rep.basis  # built once per representation, outside the solver set-up
-    for backend, spectral in (("superlu", False), ("spectral", True)):
-        setup = _fastest(lambda: _solver(rep, f, spectral))
-        solver = _solver(rep, f, spectral)
-        results[backend] = solver.apply(block)
+    rows, ref = [], None  # SuperLU runs first and is the reference
+    for backend, build in paths.items():
+        setup = _fastest(build)
+        solver = build()
+        result = solver.apply(block)
+        if ref is None:
+            ref = result
         rows.append({
             "modes": modes,
             "levels": levels,
             "dim": rep.dim,
             "backend": backend,
-            "basis_s": basis if spectral else None,
+            "basis_s": basis if backend == "spectral" else None,
             "setup_s": setup,
             "apply_1col_s": _fastest(lambda: solver.apply(block[:, 0])),
             "apply_9col_s": _fastest(lambda: solver.apply(block)),
             "probe_residual": solver.backward_error,
+            "rel_gap_9col": float(np.linalg.norm(result - ref) / np.linalg.norm(ref)),
         })
-    ref = results["superlu"]
-    gap = np.linalg.norm(results["spectral"] - ref) / np.linalg.norm(ref)
-    for row in rows:
-        row["rel_gap_9col"] = float(gap)
     return rows
 
 
@@ -135,7 +162,7 @@ def main(argv=None) -> int:
             rows.append(row)
             print(
                 f"modes={modes} N={levels:<5d} dim={row['dim']:<6d} "
-                f"{row['backend']:<8s} basis {(row['basis_s'] or 0) * 1e3:7.2f} ms  "
+                f"{row['backend']:<11s} basis {(row['basis_s'] or 0) * 1e3:7.2f} ms  "
                 f"setup {row['setup_s'] * 1e3:9.2f} ms  "
                 f"apply 1 col {row['apply_1col_s'] * 1e3:8.2f} ms  "
                 f"9 cols {row['apply_9col_s'] * 1e3:8.2f} ms  "

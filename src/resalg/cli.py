@@ -55,15 +55,10 @@ def _load_config(args) -> verify.Config:
     overrides = {}
     if getattr(args, "trunc", None):
         overrides["truncations"] = _parse_trunc(args.trunc)
-    if getattr(args, "compress", None) is not None:
-        overrides["compression"] = args.compress
-    if getattr(args, "tol", None) is not None:
-        overrides["tolerance"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    for option, key in (("compress", "compression"), ("tol", "tolerance"), ("seed", "seed")):
+        if getattr(args, option, None) is not None:
+            overrides[key] = getattr(args, option)
+    return replace(config, **overrides) if overrides else config
 
 
 def _parse_vector(text: str) -> tuple:

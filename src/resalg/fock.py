@@ -14,8 +14,8 @@ Each Q_k and P_k, a tridiagonal matrix padded by Kronecker products with
 identities, is stored as its values on one sparse (CSC) pattern that all of
 them and the identity share, so a generator G_f or a shifted iz + G_f is one
 weighted sum of value rows.  A resolvent (`ResolventSolver`) applies
-(iz + G_f)^-1 to blocks of columns without forming it: with one mode by a
-SuperLU factorization of the sparse iz + G_f, with two or more by the
+(iz + G_f)^-1 to blocks of columns without forming it: with one mode by the
+LAPACK tridiagonal LU (?gttrf/?gttrs) of iz + G_f, with two or more by the
 eigenbasis of one mode's truncated Q (`FockRep.basis`).  Dense matrices are
 formed only on request: full resolvents, evaluated expressions and the
 dense copies of Q_k, P_k and G_f.  scipy is imported on first use, so
@@ -28,7 +28,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -198,9 +198,10 @@ def _spectral(rep: FockRep) -> bool:
 class ResolventSolver:
     """Applies R = (iz + G_f)^-1 to blocks of columns without forming it.
 
-    One mode: a SuperLU factorization of the sparse iz + G_f.  Q is
-    tridiagonal, so its factors have no fill and a solve costs O(N) per
-    column.
+    One mode: iz + G_f is tridiagonal.  LAPACK ?gttrf factors it in O(N) by
+    Gaussian elimination with partial pivoting, which is backward stable
+    (Higham 2002, section 9.5), and a ?gttrs solve costs O(1) per column
+    entry, which no dense basis matches.
 
     Two or more modes: the Kronecker-spectral form.  The number operator is
     diagonal, so a Q + b P = r e^{i theta N} Q e^{-i theta N} exactly on the
@@ -210,22 +211,16 @@ class ResolventSolver:
     (the fast diagonalization method of Lynch, Rice & Thomas 1964).  The
     solver keeps the phases e^{i theta_k N} and that diagonal; a solve
     contracts U^T and U along one mode axis at a time and skips the modes
-    where f vanishes.
+    where f vanishes.  For n modes of N levels, set-up is O(N^n) on top of
+    one N x N eigensystem per representation, and a solve costs 2nN
+    multiply-adds per column entry.  A sparse LU of iz + G_f fills in from
+    two modes on and is slower to set up and to apply
+    (scripts/bench_resolvent.py).
 
-    The cost model, for n modes of N levels: the spectral set-up is O(N^n)
-    per solver on top of one N x N eigensystem per representation, and a
-    solve costs 2nN multiply-adds per column entry, in dense real matrix
-    products.  SuperLU on one mode costs O(N) to set up and O(1) per column
-    entry, which a dense U cannot match, so one mode stays on SuperLU.  From
-    two modes on, the LU of iz + G_f fills in: its set-up grows like N^3 for
-    two modes and faster for three, and the measured solves with the filled
-    factors are slower than the contractions (scripts/bench_resolvent.py).
-
-    Construction solves three probe columns and keeps the residual norm
-    against the sparse iz + G_f as `backward_error`, so the eigenbasis is
-    checked against the ladder operators as the LU factors are; a solver
-    that misses PROBE_RESIDUAL_TOL raises RuntimeError there, so every
-    solve path carries the same guard.
+    Construction solves three probe columns and keeps their residual
+    against the sparse iz + G_f as `backward_error`; a solver that misses
+    PROBE_RESIDUAL_TOL raises RuntimeError there, so both backends, LU
+    factors and eigenbasis alike, are checked against the ladder operators.
     """
 
     def __init__(self, rep: FockRep, z, f):
@@ -241,9 +236,7 @@ class ResolventSolver:
             self._lu = None
             self._spectral_setup(rep, z)
         else:
-            from scipy.sparse.linalg import splu
-
-            self._lu = splu(self._matrix_a)
+            self._lu = _tridiagonal_lu(rep, self._matrix_a.data)
         self._full = None
         self.backward_error = self._check(self._solve(_probes(self.dim), False))
 
@@ -272,10 +265,11 @@ class ResolventSolver:
         self._inverse = np.broadcast_to(1.0 / denom, full).reshape(-1, 1)
 
     def _solve(self, block: np.ndarray, adjoint: bool) -> np.ndarray:
-        if self._lu is not None:
-            return self._lu.solve(block, trans="H") if adjoint else self._lu.solve(block)
-        n = self._levels
         y = np.asarray(block, dtype=complex).reshape(self.dim, -1)
+        if self._lu is not None:
+            y, _ = _gttrf_gttrs()[1](*self._lu, y, trans="C" if adjoint else "N")
+            return y.reshape(np.shape(block))
+        n = self._levels
         # V* y, then the diagonal, then V: mode k is axis 1 of the
         # (n**k, n, rest) view, and U acts on the real and imaginary parts
         for k, phase in self._phases:
@@ -307,16 +301,33 @@ class ResolventSolver:
     def _check(self, solved: np.ndarray) -> float:
         """Residual of (iz + G_f) @ solved against the probe columns that
         `solved` was computed from; raises when the solve is broken."""
-        from scipy.sparse.linalg import norm
-
         err = float(np.linalg.norm(self._matrix_a @ solved - _probes(self.dim)))
         if not err <= PROBE_RESIDUAL_TOL * max(1.0, abs(self.z)):
+            from scipy.sparse.linalg import norm
+
             cond_bound = (abs(self.z) + norm(self._matrix_a)) / abs(self.z.real)
             raise RuntimeError(
                 f"resolvent solve failed: probe residual {err:.3e}, "
                 f"condition estimate {cond_bound:.3e}"
             )
         return err
+
+
+@cache
+def _gttrf_gttrs():
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(1, dtype=complex),))
+
+
+def _tridiagonal_lu(rep: FockRep, data: np.ndarray) -> tuple:
+    """?gttrf factors (dl, d, du, du2, ipiv) of the one-mode matrix with
+    values `data` on the pattern; a zero pivot leaves inf or nan in the
+    solves, which the probe guard rejects."""
+    if rep.modes != 1:
+        raise ValueError(f"the tridiagonal LU needs one mode, got {rep.modes}")
+    d = rep.diagonal
+    return _gttrf_gttrs()[0](data[d[:-1] + 1], data[d], data[d[1:] - 1])[:5]
 
 
 def _real_matmul(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -347,13 +358,7 @@ def apply_expr(e: Expr, block: np.ndarray, solver) -> np.ndarray:
 def evaluate(rep: FockRep, e: Expr) -> np.ndarray:
     """Homomorphic evaluation of an expression: `apply_expr` on the
     identity, with one factorization per distinct letter."""
-    solvers = {}
-
-    def solver(z, f):
-        if (z, f) not in solvers:
-            solvers[z, f] = ResolventSolver(rep, z, f)
-        return solvers[z, f]
-
+    solver = cache(lambda z, f: ResolventSolver(rep, z, f))
     return apply_expr(e, np.eye(rep.dim, dtype=complex), solver)
 
 

@@ -447,6 +447,35 @@ def test_eval_options_do_not_leak_between_calls(capsys):
 # console script
 
 
+# runs cli.main in one fresh interpreter and prints, after each run, its
+# exit code and whether scipy.sparse.linalg has been imported
+_RUN_PATH_PROBE = """
+import sys
+from resalg import cli
+for argv in sys.argv[1:]:
+    code = cli.main(argv.split("|"))
+    print(code, "scipy.sparse.linalg" in sys.modules)
+"""
+
+
+def test_run_paths_do_not_import_scipy_sparse_linalg(tmp_path):
+    # solvers factor by LAPACK directly; SuperLU, and with it the
+    # scipy.sparse.linalg import, stays off every run path
+    out = str(tmp_path / "report")
+    runs = [
+        ["verify", "--config", "configs/quick.json", "--out", out],
+        ["eval", "R(1,[1,0])*R(-2,[0.5,1])", "--trunc", "32", "--out", out],
+        ["cohomology", "--trunc", "16", "--out", out],
+        ["verify", "--config", "configs/two_mode.json", "--out", out],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PATH_PROBE, *("|".join(run) for run in runs)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 False"] * len(runs)
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "resalg.cli", "simplify", "R(3,[0,0])"],

@@ -185,30 +185,39 @@ def test_solver_apply_matches_dense_solve_on_box(modes, levels, z):
 
 
 def test_broken_factorization_raises_at_construction(monkeypatch):
-    import scipy.sparse.linalg
+    # a tridiagonal solve that returns twice the solution
+    gttrf, gttrs = fock._gttrf_gttrs()
 
-    real_splu = scipy.sparse.linalg.splu
+    def broken(*args, **kwargs):
+        x, info = gttrs(*args, **kwargs)
+        return 2.0 * x, info
 
-    class Broken:
-        def __init__(self, a):
-            self._lu = real_splu(a)
-
-        def solve(self, rhs):
-            return 2.0 * self._lu.solve(rhs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", Broken)
+    monkeypatch.setattr(fock, "_gttrf_gttrs", lambda: (gttrf, broken))
     rep = fock.build_rep(1, 8)
     with pytest.raises(RuntimeError, match="probe residual .* condition estimate"):
         fock.ResolventSolver(rep, 1.0, (1.0, 0.0))
 
 
-def _solver_pair(monkeypatch, rep, z, f):
-    """The same resolvent from both backends: (spectral, SuperLU)."""
-    out = []
-    for spectral in (True, False):
-        monkeypatch.setattr(fock, "_spectral", lambda rep, s=spectral: s)
-        out.append(fock.ResolventSolver(rep, z, f))
-    return out
+class _SuperLU:
+    """The reference resolvent: scipy's SuperLU of the sparse iz + G_f,
+    assembled here independently of the solver's own CSC."""
+
+    def __init__(self, rep, z, f):
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
+
+        a = fock.generator(rep, f, sparse=True) + 1j * z * sparse.identity(rep.dim)
+        self._lu = splu(sparse.csc_matrix(a))
+        self.dim = rep.dim
+
+    def apply(self, block):
+        return self._lu.solve(block)
+
+    def apply_adjoint(self, block):
+        return self._lu.solve(block, trans="H")
+
+    def matrix(self):
+        return self.apply(np.eye(self.dim, dtype=complex))
 
 
 @pytest.mark.parametrize(
@@ -221,20 +230,23 @@ def _solver_pair(monkeypatch, rep, z, f):
         (2, 16, 1.5, (0.0, 0.0, 0.0, 2.0)),
         (3, 8, 0.75 + 2.0j, (-0.4, 0.9, 0.0, 0.0, 1.2, -0.6)),
         (3, 8, -1.0 - 1.0j, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        (1, 1024, -0.5 + 3.0j, (1.1, 0.4)),
     ],
 )
-def test_spectral_backend_matches_superlu_on_box(monkeypatch, modes, levels, z, f):
+def test_spectral_backend_matches_superlu_on_box(modes, levels, z, f):
+    # the package solver (tridiagonal LU at one mode, spectral from two on)
+    # against SuperLU as a differential oracle
     rep = fock.build_rep(modes, levels)
-    spectral, lu = _solver_pair(monkeypatch, rep, z, f)
-    assert spectral._lu is None and lu._lu is not None
+    solver, lu = fock.ResolventSolver(rep, z, f), _SuperLU(rep, z, f)
+    assert (solver._lu is None) == (modes > 1)
     idx = fock.box_indices(rep, 4 if modes < 3 else 3)
     sel = np.zeros((rep.dim, len(idx)), dtype=complex)
     sel[idx, np.arange(len(idx))] = 1.0
     for got, expected in (
-        (spectral.apply(sel)[idx], lu.apply(sel)[idx]),
-        (spectral.apply_adjoint(sel)[idx], lu.apply_adjoint(sel)[idx]),
-        (spectral.apply(sel[:, 0]), lu.apply(sel[:, 0])),
-        (spectral.matrix(), lu.matrix()),
+        (solver.apply(sel)[idx], lu.apply(sel)[idx]),
+        (solver.apply_adjoint(sel)[idx], lu.apply_adjoint(sel)[idx]),
+        (solver.apply(sel[:, 0]), lu.apply(sel[:, 0])),
+        (solver.matrix(), lu.matrix()),
     ):
         assert got.shape == expected.shape
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -243,6 +255,14 @@ def test_spectral_backend_matches_superlu_on_box(monkeypatch, modes, levels, z, 
 def test_multi_mode_solvers_use_the_spectral_backend():
     assert fock.ResolventSolver(fock.build_rep(1, 8), 1.0, (1.0, 0.0))._lu is not None
     assert fock.ResolventSolver(fock.build_rep(2, 8), 1.0, (1.0,) * 4)._lu is None
+
+
+def test_tridiagonal_backend_rejects_more_than_one_mode(monkeypatch):
+    # iz + G_f is tridiagonal only for one mode; forcing the LU branch on
+    # two modes must fail loudly, not factor the wrong bands
+    monkeypatch.setattr(fock, "_spectral", lambda rep: False)
+    with pytest.raises(ValueError, match="tridiagonal LU needs one mode, got 2"):
+        fock.ResolventSolver(fock.build_rep(2, 4), 1.0, (1.0, 0.0, 0.0, 1.0))
 
 
 def test_spectral_solver_of_a_negated_vector_is_exactly_scaled():
