@@ -68,7 +68,7 @@ class SuperLUReference:
     def __init__(self, rep, f):
         from scipy.sparse.linalg import splu
 
-        a = fock.generator(rep, f, sparse=True)
+        a = fock.generator(rep, f)
         a.data[rep.diagonal] += 1j * Z
         self._lu = splu(a)
         probes = fock._probes(rep.dim)

@@ -165,9 +165,7 @@ def cmd_schur(args) -> int:
         if args.pair:
             left, right = args.pair.split(";")
             f, g = _parse_vector(left), _parse_vector(right)
-            gf, gg = fock.generator(rep, f), fock.generator(rep, g)
-            prod = gf @ gg
-            k = -1j * (prod - prod.conj().T)
+            k = fock.pairing_operator(fock.generator(rep, f), fock.generator(rep, g))
             target = symplectic.pair(rep.space, f, g)
             payload.update(mode="commutator", pairing=target)
         else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +39,8 @@ RECONSTRUCT_TOL = 1e-9
 
 _INT_EPS = 1e-9
 _RAY_KEY_DIGITS = 12
+# in-box pairs whose additivity improve_family also checks by matrix norms
+_MATRIX_SAMPLES = 12
 
 
 class NotScalarError(RuntimeError):
@@ -217,14 +219,12 @@ def gauge_from_json(text: str) -> GaugeFunction:
 class OperatorFamily:
     """Family f -> G_f + s(f)*1 with shifts tabulated on the lattice.
 
-    Ray lookups serve scalar multiples of basis directions: tabulated values
-    win, and with ray_linear set, untabulated multiples fall back to the
-    linear extension c * s(e_axis).  Order matters only off the lattice.
+    With ray_linear set, a multiple c * e_axis of a basis direction that is
+    off the lattice takes the linear extension c * s(e_axis).
     """
 
     rep: fock.FockRep
     lattice_shifts: dict
-    ray_shifts: dict = field(default_factory=dict)
     ray_linear: bool = False
 
     def shift(self, f) -> float:
@@ -232,37 +232,23 @@ class OperatorFamily:
         if key is not None and key in self.lattice_shifts:
             return self.lattice_shifts[key]
         live = [(ax, float(x)) for ax, x in enumerate(f) if abs(float(x)) > _INT_EPS]
-        if len(live) == 1:
+        if self.ray_linear and len(live) == 1:
             axis, c = live[0]
-            ray = self.ray_shifts.get((axis, _ray_key(c)))
-            if ray is not None:
-                return ray
-            if self.ray_linear:
-                unit = self.lattice_shifts.get(_basis(len(tuple(f)), axis))
-                if unit is not None:
-                    return c * unit
+            unit = self.lattice_shifts.get(_basis(len(tuple(f)), axis))
+            if unit is not None:
+                return c * unit
         raise KeyError(f"family shift undefined at {tuple(f)}")
 
-    def generator(self, f) -> np.ndarray:
-        out = fock.generator(self.rep, f).astype(complex)
-        out[np.diag_indices_from(out)] += self.shift(f)
-        return out
+    def values(self, f) -> np.ndarray:
+        """G_f + s(f)*1 as values on the representation's sparse pattern."""
+        data = fock.generator_values(self.rep, f)
+        data[self.rep.diagonal] += self.shift(f)
+        return data
 
     def resolvent(self, z, f) -> np.ndarray:
         # (iz + G_f + s)^{-1} is the plain solve at z shifted by -i*s
         shifted = complex(z) - 1j * self.shift(f)
         return fock.ResolventSolver(self.rep, shifted, f).matrix()
-
-    def with_ray_values(self, axis: int, table: dict) -> "OperatorFamily":
-        merged = dict(self.ray_shifts)
-        for c, value in table.items():
-            merged[(axis, _ray_key(c))] = float(value)
-        return OperatorFamily(
-            rep=self.rep,
-            lattice_shifts=self.lattice_shifts,
-            ray_shifts=merged,
-            ray_linear=self.ray_linear,
-        )
 
 
 def family_from_gauge(rep: fock.FockRep, gauge: GaugeFunction) -> OperatorFamily:
@@ -304,10 +290,13 @@ def extract_xi(
     tol: float = 1e-8,
     seed: int = 0,
 ) -> float:
-    """Additivity defect of the gauged family at (f,g), read off a matrix."""
+    """Additivity defect of the gauged family at (f,g), read off a dense
+    matrix by `fock.schur_constant`; the reference for `build_cocycle`."""
     family = family_from_gauge(rep, gauge)
-    k = family.generator(f) + family.generator(g) - family.generator(_add(f, g))
-    return _probe_scalar(rep, k, cutoff, tol, seed)
+    gf, gg, gfg = (
+        fock.pattern_matrix(rep, family.values(p)).toarray() for p in (f, g, _add(f, g))
+    )
+    return _probe_scalar(rep, gf + gg - gfg, cutoff, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +360,24 @@ def _rayleigh_weights(rep: fock.FockRep, cutoff: int, seed: int):
     return seen, weights[seen]
 
 
+def _probe_rows(rows: np.ndarray, weights: np.ndarray, tol: float, name) -> np.ndarray:
+    """Scalar values of the operators whose values on the probed entries are
+    `rows`, with `weights` from `_rayleigh_weights`.  Each operator's Rayleigh
+    quotients must agree on a real scalar, else NotScalarError names the
+    first failing row n by `name(n)`."""
+    quotients = rows @ weights
+    means = quotients.mean(axis=1)
+    devs = np.abs(quotients - means[:, None]).max(axis=1)
+    bad = np.flatnonzero(~(devs <= tol) | (np.abs(means.imag) > tol))
+    if bad.size:
+        n = bad[0]
+        raise NotScalarError(
+            f"probe at {name(n)} is not a real multiple of the identity "
+            f"(mean {complex(means[n])}, max deviation {devs[n]:.3e})"
+        )
+    return means.real
+
+
 def build_cocycle(
     rep: fock.FockRep,
     gauge: GaugeFunction,
@@ -381,37 +388,26 @@ def build_cocycle(
     """Extracts xi over every valid ordered lattice pair.
 
     Each lattice point's gauged generator is formed once, as its values on
-    the sparse pattern.  The probed operator of a pair, G'_f + G'_g -
-    G'_{f+g}, is combined from those values, and one product with the
-    weights of the Schur probe block gives its Rayleigh quotients, which
-    must agree on a real scalar (else NotScalarError names the first
-    failing pair).  The operator is symmetric under swapping the pair, so
-    the value is computed once per unordered pair and mirrored.
+    the sparse pattern (`OperatorFamily.values`).  The probed operator of a
+    pair, G'_f + G'_g - G'_{f+g}, is combined from those values and probed
+    by `_probe_rows`, so NotScalarError names the first failing pair.  The
+    operator is symmetric under swapping the pair, so the value is computed
+    once per unordered pair and mirrored.
     """
     points = lattice_points(gauge.dim, gauge.box)
     add = _addition_table(gauge.dim, gauge.box)
     seen, weights = _rayleigh_weights(rep, cutoff, seed)
-    gens = np.empty((len(points), len(seen)), dtype=complex)
-    for n, p in enumerate(points):
-        data = fock.generator_values(rep, p)
-        data[rep.diagonal] += gauge.values[p]
-        gens[n] = data[seen]
+    family = family_from_gauge(rep, gauge)
+    gens = np.array([family.values(p)[seen] for p in points])
 
     values = {}
     for i, f in enumerate(points):  # one chunk of pairs (f, g >= f) per f
         js = i + np.flatnonzero(add[i, i:] >= 0)
-        quotients = (gens[i] + gens[js] - gens[add[i, js]]) @ weights
-        means = quotients.mean(axis=1)
-        devs = np.abs(quotients - means[:, None]).max(axis=1)
-        bad = np.flatnonzero(~(devs <= tol) | (np.abs(means.imag) > tol))
-        if bad.size:
-            n = bad[0]
-            raise NotScalarError(
-                f"probe at f={f}, g={points[js[n]]} is not a real multiple of "
-                f"the identity (mean {complex(means[n])}, max deviation "
-                f"{devs[n]:.3e})"
-            )
-        for j, xi in zip(js.tolist(), means.real.tolist()):
+        means = _probe_rows(
+            gens[i] + gens[js] - gens[add[i, js]], weights, tol,
+            lambda n: f"f={f}, g={points[js[n]]}",
+        )
+        for j, xi in zip(js.tolist(), means.tolist()):
             values[(f, points[j])] = xi
             values[(points[j], f)] = xi
     return Cocycle(dim=gauge.dim, box=gauge.box, values=values)
@@ -579,21 +575,24 @@ def extract_zeta(
 ) -> dict:
     """Samples the scaling defect of one basis ray on a scalar grid.
 
-    zeta(c) is the scalar value of G-family(c*e) - c*G-family(e).  The grid
-    must contain 0 and 1; the samples must vanish there and be additive over
-    in-grid sums, otherwise the family is inconsistent and this raises.
+    zeta(c) is the scalar value of G-family(c*e) - c*G-family(e).  The
+    operators of the whole grid are combined from value rows and probed by
+    one `_probe_rows` product, so NotScalarError names the axis and the
+    first failing scalar.  The grid must contain 0 and 1; the samples must
+    vanish there and be additive over in-grid sums, otherwise the family is
+    inconsistent and this raises.
     """
     grid = [float(c) for c in grid]
     if not any(c == 0.0 for c in grid) or not any(c == 1.0 for c in grid):
         raise ValueError("scalar grid must contain 0 and 1")
-    dim = family.rep.space.dim
-    e = _basis(dim, axis)
-    unit = family.generator(e)
-    table = {}
-    for c in grid:
-        point = tuple(c * x for x in e)
-        k = family.generator(point) - c * unit
-        table[_ray_key(c)] = _probe_scalar(family.rep, k, cutoff, max(tol, 1e-9), seed)
+    e = _basis(family.rep.space.dim, axis)
+    seen, weights = _rayleigh_weights(family.rep, cutoff, seed)
+    unit = family.values(e)[seen]
+    rows = [family.values(tuple(c * x for x in e))[seen] - c * unit for c in grid]
+    zetas = _probe_rows(
+        np.array(rows), weights, max(tol, 1e-9), lambda n: f"axis {axis}, c={grid[n]}"
+    )
+    table = dict(zip(map(_ray_key, grid), zetas.tolist()))
     if abs(table[_ray_key(0.0)]) > tol or abs(table[_ray_key(1.0)]) > tol:
         raise AdditivityError("scaling defect must vanish at 0 and 1")
     keys = sorted(table)
@@ -639,14 +638,19 @@ def improve_family(
     gamma: Coboundary,
     homogeneity: HomogeneityData = None,
     tol: float = IMPROVE_TOL,
-    matrix_samples: int = 12,
 ) -> OperatorFamily:
     """Builds the corrected family and certifies it additive and homogeneous.
 
     The shift of the improved family is c - gamma - theta.  Additivity is
-    checked scalar-wise on every in-box pair and by explicit matrix norms on
-    a deterministic subsample; homogeneity likewise along basis rays.
+    checked scalar-wise on every in-box pair and by the spectral norms of
+    the defect operators of _MATRIX_SAMPLES evenly spaced pairs; homogeneity
+    by defect norms along basis rays.  Each defect operator is combined from
+    value rows and made dense on its own.
     """
+
+    def norm(data):
+        return np.linalg.norm(fock.pattern_matrix(rep, data).toarray(), 2)
+
     shifts = {}
     for p in gauge.values:
         theta = homogeneity.theta(p) if homogeneity is not None else 0.0
@@ -658,24 +662,20 @@ def improve_family(
     if worst > tol:
         raise ImprovementError(f"improved family not additive (defect {worst:.3e})")
     points = lattice_points(gauge.dim, gauge.box)
-    step = max(1, len(rows) // matrix_samples)
+    step = max(1, len(rows) // _MATRIX_SAMPLES)
     for i, j in zip(rows[::step].tolist(), cols[::step].tolist()):
         f, g = points[i], points[j]
-        defect = np.linalg.norm(
-            improved.generator(f) + improved.generator(g)
-            - improved.generator(_add(f, g)),
-            2,
-        )
+        fg = _add(f, g)
+        defect = norm(improved.values(f) + improved.values(g) - improved.values(fg))
         if defect > tol:
             raise ImprovementError(
                 f"matrix additivity defect {defect:.3e} at {f}, {g}"
             )
     for axis in range(gauge.dim):
         e = _basis(gauge.dim, axis)
-        unit = improved.generator(e)
+        unit = improved.values(e)
         for c in (-1.0, 2.0, 0.5, float(gauge.box)):
-            point = tuple(c * x for x in e)
-            defect = np.linalg.norm(improved.generator(point) - c * unit, 2)
+            defect = norm(improved.values(tuple(c * x for x in e)) - c * unit)
             if defect > tol:
                 raise ImprovementError(
                     f"matrix homogeneity defect {defect:.3e} at axis {axis}, c={c}"

@@ -17,9 +17,8 @@ weighted sum of value rows.  A resolvent (`ResolventSolver`) applies
 (iz + G_f)^-1 to blocks of columns without forming it: with one mode by the
 LAPACK tridiagonal LU (?gttrf/?gttrs) of iz + G_f, with two or more by the
 eigenbasis of one mode's truncated Q (`FockRep.basis`).  Dense matrices are
-formed only on request: full resolvents, evaluated expressions and the
-dense copies of Q_k, P_k and G_f.  scipy is imported on first use, so
-importing this module does not load it.
+formed only on request: full resolvents and evaluated expressions.  scipy is
+imported on first use, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -73,16 +72,6 @@ class FockRep:
         return self.levels ** self.modes
 
     @cached_property
-    def position(self) -> tuple:
-        """Dense read-only Q_k, built on first access."""
-        return tuple(_dense_entries(self, 2 * k) for k in range(self.modes))
-
-    @cached_property
-    def momentum(self) -> tuple:
-        """Dense read-only P_k, built on first access."""
-        return tuple(_dense_entries(self, 2 * k + 1) for k in range(self.modes))
-
-    @cached_property
     def basis(self) -> tuple:
         """(U, x) with Q = U diag(x) U^T for one mode's truncated Q, which
         every mode shares; built on first access, read-only.  Q is real
@@ -97,16 +86,11 @@ class FockRep:
         return u, x
 
 
-def _csc(rep: FockRep, data: np.ndarray):
+def pattern_matrix(rep: FockRep, data: np.ndarray):
+    """The CSC matrix with values `data` on the representation's pattern."""
     from scipy import sparse
 
     return sparse.csc_matrix((data, rep.indices, rep.indptr), shape=(rep.dim, rep.dim))
-
-
-def _dense_entries(rep: FockRep, row: int) -> np.ndarray:
-    out = _csc(rep, rep.entries[row]).toarray()
-    out.setflags(write=False)
-    return out
 
 
 def build_rep(n: int, levels: int, max_dim: int = DEFAULT_MAX_DIM) -> FockRep:
@@ -171,14 +155,18 @@ def generator_values(rep: FockRep, f) -> np.ndarray:
     return data
 
 
-def generator(rep: FockRep, f, sparse: bool = False):
-    """Hermitian field generator G_f = sum_k f_{2k-1} Q_k + f_{2k} P_k.
+def generator(rep: FockRep, f):
+    """Hermitian field generator G_f = sum_k f_{2k-1} Q_k + f_{2k} P_k, as
+    the CSC matrix of `generator_values` on the representation's pattern."""
+    return pattern_matrix(rep, generator_values(rep, f))
 
-    A dense ndarray by default; with sparse=True the CSC matrix on the
-    representation's pattern that the solvers factor.
-    """
-    out = _csc(rep, generator_values(rep, f))
-    return out if sparse else out.toarray()
+
+def pairing_operator(gf, gg):
+    """K = -i(G_f G_g - (G_f G_g)*), which is -i[G_f, G_g] for Hermitian
+    generators and acts as sigma(f, g) on states below the truncation
+    boundary."""
+    prod = gf @ gg
+    return -1j * (prod - prod.conj().T)
 
 
 def _probes(dim: int) -> np.ndarray:
@@ -230,7 +218,7 @@ class ResolventSolver:
         self.z = z
         self.f = tuple(float(x) for x in f)
         self.dim = rep.dim
-        self._matrix_a = generator(rep, f, sparse=True)
+        self._matrix_a = generator(rep, f)
         self._matrix_a.data[rep.diagonal] += 1j * z
         if _spectral(rep):
             self._lu = None

@@ -113,7 +113,7 @@ class SolverCache:
         """Sparse (CSC) G_f."""
         key = tuple(float(x) for x in f)
         if key not in self._generators:
-            self._generators[key] = fock.generator(self.rep, key, sparse=True)
+            self._generators[key] = fock.generator(self.rep, key)
         return self._generators[key]
 
 
@@ -395,7 +395,7 @@ def _probe_matrix(rep: fock.FockRep, pattern: str):
         # the generator along a coordinate direction is Q_k or P_k itself
         unit = np.zeros(rep.space.dim)
         unit[2 * mode if token[0] == "Q" else 2 * mode + 1] = 1.0
-        out = out @ fock.generator(rep, unit, sparse=True)
+        out = out @ fock.generator(rep, unit)
     return out
 
 
@@ -741,10 +741,7 @@ def _sigma_cross_validation(cache, space, vectors, m, seed) -> tuple:
     (inf, reason) at the first pair where they disagree."""
     worst = 0.0
     for f, g in _distinct_pairs(vectors):
-        gf = cache.generator(f)
-        gg = cache.generator(g)
-        prod = gf @ gg
-        k = -1j * (prod - prod.conj().T)
+        k = fock.pairing_operator(cache.generator(f), cache.generator(g))
         report = fock.schur_constant(cache.rep, k, cutoff=m, seed=seed)
         target = symplectic.pair(space, f, g)
         gap = abs(report.mean - target)

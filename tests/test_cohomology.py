@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -21,6 +22,10 @@ def random_setup(rep):
     xi = coh.build_cocycle(rep, gauge)
     gamma = coh.solve_coboundary(xi)
     return gauge, xi, gamma
+
+
+def dense(family, f):
+    return fock.pattern_matrix(family.rep, family.values(f)).toarray()
 
 
 def closed_form_xi(gauge, f, g):
@@ -363,8 +368,8 @@ def test_family_generator_and_resolvent(rep):
     gauge = coh.quadratic_gauge(2, 3)
     fam = coh.family_from_gauge(rep, gauge)
     f = (1, 1)
-    gen = fam.generator(f)
-    assert np.allclose(gen, fock.generator(rep, f) + 2.0 * np.eye(rep.dim))
+    gen = dense(fam, f)
+    assert np.allclose(gen, fock.generator(rep, f).toarray() + 2.0 * np.eye(rep.dim))
     r = fam.resolvent(1.0, f)
     lhs = (1j * np.eye(rep.dim) + gen) @ r
     assert np.allclose(lhs, np.eye(rep.dim), atol=1e-11)
@@ -377,6 +382,35 @@ def test_family_dimension_mismatch(rep):
 
 # ---------------------------------------------------------------------------
 # homogeneity
+
+
+@dataclass(frozen=True)
+class RayInjected(coh.OperatorFamily):
+    """A family whose shifts along axis 0 are planted at the scalars of `table`."""
+
+    table: dict = field(default_factory=dict)
+
+    def shift(self, f):
+        planted = {coh._ray_key(c): v for c, v in self.table.items()}
+        if not any(f[1:]) and coh._ray_key(f[0]) in planted:
+            return planted[coh._ray_key(f[0])]
+        return super().shift(f)
+
+
+def loop_extract_zeta(family, axis, grid, cutoff, tol=coh.ZETA_TOL, seed=0):
+    """Reference for extract_zeta's table: one dense operator and one Schur
+    probe per scalar."""
+    e = tuple(1 if i == axis else 0 for i in range(family.rep.space.dim))
+    unit = dense(family, e)
+    table = {}
+    for c in grid:
+        k = dense(family, tuple(c * x for x in e)) - c * unit
+        report = fock.schur_constant(
+            family.rep, k, cutoff=cutoff, tol=max(tol, 1e-9), seed=seed
+        )
+        assert report.is_scalar and abs(report.mean.imag) <= max(tol, 1e-9)
+        table[coh._ray_key(c)] = report.mean.real
+    return table
 
 
 def test_zeta_zero_for_corrected_family(rep, random_setup):
@@ -404,7 +438,7 @@ def test_zeta_injection_round_trip(rep, random_setup):
     grid = (0.0, 1.0, s2, 1.0 + s2)
     injected = {s2: 0.3, 1.0 + s2: 0.3}
     table = {c: fam.shift((c, 0.0)) + injected.get(c, 0.0) for c in grid}
-    fam2 = fam.with_ray_values(0, table)
+    fam2 = RayInjected(fam.rep, fam.lattice_shifts, fam.ray_linear, table)
     recovered = coh.extract_zeta(fam2, 0, grid)
     assert abs(recovered[coh._ray_key(s2)] - 0.3) < 1e-10
     assert abs(recovered[coh._ray_key(1.0 + s2)] - 0.3) < 1e-10
@@ -422,9 +456,50 @@ def test_zeta_detects_uncorrected_family(rep, random_setup):
 def test_zeta_detects_nonadditive_injection(rep, random_setup):
     gauge, _, gamma = random_setup
     fam = coh.corrected_family(rep, gauge, gamma)
-    fam2 = fam.with_ray_values(0, {0.5: fam.shift((0.5, 0.0)) + 0.3})
+    table = {0.5: fam.shift((0.5, 0.0)) + 0.3}
+    fam2 = RayInjected(fam.rep, fam.lattice_shifts, fam.ray_linear, table)
     with pytest.raises(coh.AdditivityError):
         coh.extract_zeta(fam2, 0, (0.0, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("modes, levels, box, cutoff", [(1, 16, 3, 6), (2, 6, 1, 3)])
+def test_batched_zeta_matches_per_scalar_loop(modes, levels, box, cutoff, monkeypatch):
+    rep_ = fock.build_rep(modes, levels)
+    gauge = coh.random_gauge(2 * modes, box, seed=7)
+    gamma = coh.solve_coboundary(coh.build_cocycle(rep_, gauge, cutoff=cutoff))
+    corrected = coh.corrected_family(rep_, gauge, gamma)
+    integers = [float(c) for c in range(-box, box + 1)]
+    grid = sorted(set(coh.DEFAULT_SCALAR_GRID) | set(integers))
+    plain, built = fock.probe_block, []
+    monkeypatch.setattr(
+        fock, "probe_block", lambda *a, **kw: built.append(a) or plain(*a, **kw)
+    )
+    for axis in range(2 * modes):
+        built.clear()
+        table = coh.extract_zeta(corrected, axis, grid, cutoff=cutoff)
+        assert len(built) == 1  # one probe block for the whole grid
+        ref = loop_extract_zeta(corrected, axis, grid, cutoff)
+        assert table.keys() == ref.keys()
+        assert max(abs(table[c] - ref[c]) for c in ref) <= 1e-13
+    raw = coh.family_from_gauge(rep_, gauge)
+    with pytest.raises(coh.AdditivityError):
+        coh.extract_zeta(raw, 0, integers, cutoff=cutoff)
+
+
+def test_zeta_names_axis_and_scalar_of_non_scalar_probe(rep, random_setup, monkeypatch):
+    gauge, _, gamma = random_setup
+    fam = coh.corrected_family(rep, gauge, gamma)
+    plain = fock.generator_values
+
+    def generator_values(rep_, f):
+        out = plain(rep_, f)
+        if tuple(f) == (0.0, 0.5):
+            out[rep_.diagonal[0]] += 0.5
+        return out
+
+    monkeypatch.setattr(fock, "generator_values", generator_values)
+    with pytest.raises(coh.NotScalarError, match=r"probe at axis 1, c=0\.5 is not"):
+        coh.extract_zeta(fam, 1, (0.0, 0.5, 1.0, 2.0))
 
 
 def test_theta_assembly(rep, random_setup):
@@ -448,7 +523,7 @@ def test_improve_zero_gauge_is_identity(rep):
     gamma = coh.solve_coboundary(xi)
     improved = coh.improve_family(rep, gauge, gamma)
     f = (1, 1)
-    assert np.allclose(improved.generator(f), fock.generator(rep, f), atol=1e-14)
+    assert np.allclose(improved.values(f), fock.generator_values(rep, f), atol=1e-14)
 
 
 def test_improve_quadratic_gauge(rep):
@@ -459,14 +534,13 @@ def test_improve_quadratic_gauge(rep):
     for f, g in [((1, 0), (0, 1)), ((1, 1), (1, -1)), ((2, 0), (-1, 1))]:
         total = tuple(a + b for a, b in zip(f, g))
         defect = np.linalg.norm(
-            improved.generator(f) + improved.generator(g) - improved.generator(total),
-            2,
+            dense(improved, f) + dense(improved, g) - dense(improved, total), 2
         )
         assert defect <= 1e-10
     # exact homogeneity along rays
     for c in (-1.0, 2.0, 3.0):
         defect = np.linalg.norm(
-            improved.generator((c, 0.0)) - c * improved.generator((1, 0)), 2
+            dense(improved, (c, 0.0)) - c * dense(improved, (1, 0)), 2
         )
         assert defect <= 1e-10
 
@@ -478,6 +552,28 @@ def test_improve_rejects_wrong_potential(rep):
     )
     with pytest.raises(coh.ImprovementError):
         coh.improve_family(rep, gauge, bad)
+
+
+@pytest.mark.parametrize(
+    "bend, message",
+    [(lambda x: x * x, "matrix additivity defect"),
+     (lambda x: x - round(x), "matrix homogeneity defect")],
+)
+def test_improve_detects_matrix_defects(rep, monkeypatch, bend, message):
+    # a term nonlinear in f on one off-diagonal entry leaves every shift, and
+    # so every scalar check, exact; only the matrix checks can see it
+    gauge = coh.zero_gauge(2, 2)
+    gamma = coh.solve_coboundary(coh.build_cocycle(rep, gauge))
+    plain = fock.generator_values
+
+    def generator_values(rep_, f):
+        out = plain(rep_, f)
+        out[rep_.diagonal[0] + 1] += 0.1 * bend(float(f[0]))
+        return out
+
+    monkeypatch.setattr(fock, "generator_values", generator_values)
+    with pytest.raises(coh.ImprovementError, match=message):
+        coh.improve_family(rep, gauge, gamma)
 
 
 def test_improved_resolvents_keep_difference_identity(rep, random_setup):
@@ -506,7 +602,7 @@ def test_recover_shift_injected(rep):
 
 def test_recover_shift_consistent_descriptions(rep):
     # shifting the generator and continuing the spectral parameter agree
-    gen = fock.generator(rep, (1.0, 0.0))
+    gen = fock.generator(rep, (1.0, 0.0)).toarray()
     eye = np.eye(rep.dim)
     direct = np.linalg.solve((1j * 1.0 + 0.7) * eye + gen, eye)
     continued = fock.ResolventSolver(rep, 1.0 - 0.7j, (1.0, 0.0)).matrix()

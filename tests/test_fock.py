@@ -17,23 +17,28 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
+def canonical(rep, k, row):
+    """Dense Q_k (row 0) or P_k (row 1), read from the representation's entries."""
+    return fock.pattern_matrix(rep, rep.entries[2 * k + row]).toarray()
+
+
 # ---------------------------------------------------------------------------
 # construction
 
 
 def test_two_level_hand_values():
     rep = fock.build_rep(1, 2)
-    assert np.allclose(rep.position[0], [[0, SQ2], [SQ2, 0]])
-    assert np.allclose(rep.momentum[0], [[0, -1j * SQ2], [1j * SQ2, 0]])
+    q, p = canonical(rep, 0, 0), canonical(rep, 0, 1)
+    assert np.allclose(q, [[0, SQ2], [SQ2, 0]])
+    assert np.allclose(p, [[0, -1j * SQ2], [1j * SQ2, 0]])
     # at two levels the commutator is i*diag(1, -1)
-    assert np.allclose(
-        commutator(rep.position[0], rep.momentum[0]), 1j * np.diag([1.0, -1.0])
-    )
+    assert np.allclose(commutator(q, p), 1j * np.diag([1.0, -1.0]))
 
 
 def test_commutation_defect_is_rank_one_at_top():
     rep = fock.build_rep(1, 16)
-    defect = commutator(rep.position[0], rep.momentum[0]) - 1j * np.eye(16)
+    q, p = canonical(rep, 0, 0), canonical(rep, 0, 1)
+    defect = commutator(q, p) - 1j * np.eye(16)
     expected = np.zeros((16, 16), dtype=complex)
     expected[15, 15] = -16j
     assert np.allclose(defect, expected, atol=1e-13)
@@ -45,10 +50,10 @@ def test_two_mode_layout():
     # mode 1 is the leftmost tensor factor
     a = np.diag(np.sqrt(np.arange(1.0, 3)), 1)
     q1 = (a + a.conj().T) * SQ2
-    assert np.allclose(rep.position[0], np.kron(q1, np.eye(3)))
-    assert np.allclose(rep.position[1], np.kron(np.eye(3), q1))
+    assert np.allclose(canonical(rep, 0, 0), np.kron(q1, np.eye(3)))
+    assert np.allclose(canonical(rep, 1, 0), np.kron(np.eye(3), q1))
     # different modes commute exactly
-    assert np.allclose(commutator(rep.position[0], rep.momentum[1]), 0.0)
+    assert np.allclose(commutator(canonical(rep, 0, 0), canonical(rep, 1, 1)), 0.0)
 
 
 def test_build_rep_validation():
@@ -65,9 +70,9 @@ def test_generator_linearity_and_hermiticity():
     rep = fock.build_rep(2, 5)
     f = (1.0, -2.0, 0.5, 3.0)
     g = (0.0, 1.0, -1.0, 0.25)
-    gf = fock.generator(rep, f)
-    gg = fock.generator(rep, g)
-    combo = fock.generator(rep, tuple(2 * x + y for x, y in zip(f, g)))
+    gf = fock.generator(rep, f).toarray()
+    gg = fock.generator(rep, g).toarray()
+    combo = fock.generator(rep, tuple(2 * x + y for x, y in zip(f, g))).toarray()
     assert np.allclose(combo, 2 * gf + gg, atol=1e-12)
     assert np.allclose(gf, gf.conj().T, atol=1e-13)
 
@@ -78,22 +83,18 @@ def test_generator_matches_dense_sum(modes, levels):
     f = np.random.default_rng(modes).standard_normal(2 * modes)
     expected = np.zeros((rep.dim, rep.dim), dtype=complex)
     for k in range(modes):
-        expected += f[2 * k] * rep.position[k]
-        expected += f[2 * k + 1] * rep.momentum[k]
-    dense = fock.generator(rep, f)
-    assert isinstance(dense, np.ndarray)
-    assert np.array_equal(dense, expected)
-    assert np.array_equal(fock.generator(rep, f, sparse=True).toarray(), expected)
-    assert np.array_equal(
-        fock.generator_values(rep, f), fock.generator(rep, f, sparse=True).data
-    )
+        expected += f[2 * k] * canonical(rep, k, 0)
+        expected += f[2 * k + 1] * canonical(rep, k, 1)
+    assert np.array_equal(fock.generator(rep, f).toarray(), expected)
+    assert np.array_equal(fock.generator_values(rep, f), fock.generator(rep, f).data)
 
 
 def test_generator_commutator_matches_form_below_top():
     # -i[G_f, G_g] acts as sigma(f,g) on states below the top level
     rep = fock.build_rep(1, 12)
     f, g = (1.0, 2.0), (-0.5, 3.0)
-    k = -1j * commutator(fock.generator(rep, f), fock.generator(rep, g))
+    gf, gg = fock.generator(rep, f).toarray(), fock.generator(rep, g).toarray()
+    k = -1j * commutator(gf, gg)
     sig = symplectic.pair(rep.space, f, g)
     box = fock.compress(rep, k, 11)
     assert np.allclose(box, sig * np.eye(11), atol=1e-12)
@@ -121,7 +122,7 @@ def test_resolvent_defining_equation():
     rep = fock.build_rep(2, 6)
     z, f = 1.5 - 0.75j, (1.0, 0.0, -2.0, 0.5)
     r = fock.resolvent_matrix(rep, z, f)
-    lhs = (1j * z * np.eye(rep.dim) + fock.generator(rep, f)) @ r
+    lhs = (1j * z * np.eye(rep.dim) + fock.generator(rep, f).toarray()) @ r
     assert np.allclose(lhs, np.eye(rep.dim), atol=1e-11)
 
 
@@ -173,7 +174,7 @@ def test_solver_apply_matches_dense_solve_on_box(modes, levels, z):
     idx = fock.box_indices(rep, 4)
     sel = np.zeros((rep.dim, len(idx)), dtype=complex)
     sel[idx, np.arange(len(idx))] = 1.0
-    dense = fock.generator(rep, f) + 1j * z * np.eye(rep.dim)
+    dense = fock.generator(rep, f).toarray() + 1j * z * np.eye(rep.dim)
     solver = fock.ResolventSolver(rep, z, f)
     # R @ sel, and R* @ sel by a conjugate-transpose solve with the same factors
     for got, matrix in (
@@ -206,7 +207,7 @@ class _SuperLU:
         from scipy import sparse
         from scipy.sparse.linalg import splu
 
-        a = fock.generator(rep, f, sparse=True) + 1j * z * sparse.identity(rep.dim)
+        a = fock.generator(rep, f) + 1j * z * sparse.identity(rep.dim)
         self._lu = splu(sparse.csc_matrix(a))
         self.dim = rep.dim
 
@@ -315,7 +316,7 @@ def test_basis_nodes_are_gauss_hermite():
     nodes, _ = np.polynomial.hermite.hermgauss(64)
     assert np.max(np.abs(x - nodes)) <= 1e-13
     # Q = U diag(x) U^T on one mode, with U orthogonal
-    q = fock.build_rep(1, 64).position[0]
+    q = canonical(fock.build_rep(1, 64), 0, 0)
     assert np.linalg.norm(q @ u - u * x) <= 1e-13 * np.linalg.norm(q)
     assert np.linalg.norm(u.T @ u - np.eye(64)) <= 1e-13
 
