@@ -19,8 +19,9 @@ from resalg import cohomology, fock
 from resalg.cli import main
 from resalg.expr import parse
 
-# reports of configs/{quick,default,two_mode}.json and of
-# tests/golden/edge_cases.config.json, see README.md for their environment
+# verify reports of configs/{quick,default,two_mode}.json and of
+# tests/golden/edge_cases.config.json, cohomology reports of
+# configs/gauge_quadratic.json; see README.md for their environment
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -269,6 +270,20 @@ def test_cohomology_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     )
     assert json.loads(reports[0])["all_pass"] is True
     assert reports[0] == reports[1]
+
+
+def test_cohomology_report_bytes_match_goldens(tmp_path):
+    # the quadratic gauge's report, and its twin with a corrupted pair value
+    gauge = ("--gauge", "configs/gauge_quadratic.json", "--trunc", "16")
+    for name, flags, code in (
+        ("gauge_quadratic", (), 0), ("gauge_quadratic_corrupt", ("--corrupt-xi",), 1)
+    ):
+        reports = _reports_by_blas_threads(
+            tmp_path, "cohomology", *gauge, *flags, returncode=code
+        )
+        golden = (GOLDEN / f"{name}.cohomology.json").read_bytes()
+        assert reports[0] == golden, name
+        assert reports[1] == golden, name
 
 
 def test_cohomology_corrupt_xi_exits_1(capsys):
