@@ -11,9 +11,13 @@ that make the family exactly additive and homogeneous.  Finally, two
 admissible families generating the same algebra differ per direction by a
 recoverable scalar shift.
 
-Everything runs on an integer lattice box [-B,B]^d; all extractions go
-through scalar probing of the candidate operator rather than reading the
-closed form, so the tests can use the closed form as an independent oracle.
+Everything runs on an integer lattice box [-B,B]^d.  Every lattice table
+(the gauge, the potential, the family shifts, and xi with one axis per
+argument) is a float array in `lattice_points` order, NaN where undefined;
+the point -p sits at the mirrored index of p.  Only the JSON gauge files and
+the report name points as coordinate lists.  All extractions go through
+scalar probing of the candidate operator rather than reading the closed
+form, so the tests can use the closed form as an independent oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -65,27 +68,33 @@ class ReconstructionError(RuntimeError):
 
 def lattice_points(dim: int, box: int):
     """All integer-coordinate points of [-box, box]^dim, lexicographic."""
-    return [
-        tuple(p) for p in itertools.product(range(-box, box + 1), repeat=dim)
-    ]
-
-
-def _in_box(point, box: int) -> bool:
-    return all(abs(x) <= box for x in point)
+    return list(itertools.product(range(-box, box + 1), repeat=dim))
 
 
 def _add(p, q):
     return tuple(a + b for a, b in zip(p, q))
 
 
-def _lattice_key(f):
-    key = []
+def _index(f, box: int):
+    """Position of f in `lattice_points` order; None unless f is an integer
+    point of the box."""
+    index = 0
     for x in f:
         r = round(float(x))
-        if abs(float(x) - r) > _INT_EPS:
+        if abs(float(x) - r) > _INT_EPS or abs(r) > box:
             return None
-        key.append(int(r))
-    return tuple(key)
+        index = index * (2 * box + 1) + r + box
+    return index
+
+
+def _lookup(table: np.ndarray, box: int, what: str, *points) -> float:
+    """table's entry at the lattice indices of `points`, one per axis;
+    KeyError off the box or where the entry is NaN (undefined)."""
+    index = tuple(_index(p, box) for p in points)
+    if None in index or np.isnan(table[index]):
+        where = ", ".join(str(tuple(p)) for p in points)
+        raise KeyError(f"{what} undefined at {where}")
+    return float(table[index])
 
 
 def _ray_key(c: float) -> float:
@@ -112,9 +121,29 @@ def _addition_table(dim: int, box: int) -> np.ndarray:
     return _point_index((x[:, None] + x[None, :] for x in coords.T), box)
 
 
-def _on_lattice(values: dict, dim: int, box: int) -> np.ndarray:
-    """Per-point values in `lattice_points` order, NaN where undefined."""
-    return np.array([values.get(p, np.nan) for p in lattice_points(dim, box)])
+@dataclass(frozen=True)
+class _Table:
+    """Lattice table: one `lattice_points` axis per argument (`rank` of
+    them), NaN where undefined; stored read-only.  Raises ValueError for a
+    table of the wrong shape or with an infinite value."""
+
+    dim: int
+    box: int
+    values: np.ndarray
+    rank = 1
+
+    def __post_init__(self):
+        shape = ((2 * self.box + 1) ** self.dim,) * self.rank
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != shape:
+            raise ValueError(f"table of shape {values.shape}; the box needs {shape}")
+        if np.any(np.isinf(values)):
+            raise ValueError(f"{type(self).__name__} values must be finite")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    def value(self, *points) -> float:
+        return _lookup(self.values, self.box, type(self).__name__, *points)
 
 
 # ---------------------------------------------------------------------------
@@ -122,93 +151,88 @@ def _on_lattice(values: dict, dim: int, box: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GaugeFunction:
-    """Real constant per lattice point; vanishes at the origin."""
-
-    dim: int
-    box: int
-    values: dict
+class GaugeFunction(_Table):
+    """Real constant per lattice point; vanishes at the origin, which takes
+    0 when undefined, and its domain is closed under negation."""
 
     def __post_init__(self):
-        cleaned = {}
-        for point, value in self.values.items():
-            key = tuple(int(x) for x in point)
-            if len(key) != self.dim or not _in_box(key, self.box):
-                raise ValueError(f"gauge point {key} outside the lattice box")
-            cleaned[key] = float(value)
-        origin = (0,) * self.dim
-        if cleaned.setdefault(origin, 0.0) != 0.0:
+        values = np.array(self.values, dtype=float)
+        origin = values.size // 2
+        if values.ndim == 1 and values.size and np.isnan(values[origin]):
+            values[origin] = 0.0
+        object.__setattr__(self, "values", values)
+        super().__post_init__()
+        if values[origin] != 0.0:
             raise ValueError("gauge must vanish at the origin")
-        for key in cleaned:
-            if tuple(-x for x in key) not in cleaned:
-                raise ValueError(f"gauge domain not closed under negation at {key}")
-        object.__setattr__(self, "values", cleaned)
-
-    def value(self, f) -> float:
-        key = _lattice_key(f)
-        if key is None or key not in self.values:
-            raise KeyError(f"gauge undefined at {tuple(f)}")
-        return self.values[key]
-
-    def lattice(self):
-        return sorted(self.values)
+        defined = ~np.isnan(values)
+        unpaired = np.flatnonzero(defined & ~defined[::-1])
+        if unpaired.size:
+            p = lattice_points(self.dim, self.box)[unpaired[0]]
+            raise ValueError(f"gauge domain not closed under negation at {p}")
 
 
 def require_full_box(gauge: GaugeFunction) -> None:
     """Raises ValueError naming the first point of the lattice box where the
     gauge is undefined; the pipeline reads the gauge on the whole box."""
-    for p in lattice_points(gauge.dim, gauge.box):
-        if p not in gauge.values:
-            raise ValueError(
-                f"gauge undefined at {p}; the pipeline needs a value at every "
-                f"point of the box [-{gauge.box}, {gauge.box}]^{gauge.dim}"
-            )
+    missing = np.flatnonzero(np.isnan(gauge.values))
+    if missing.size:
+        p = lattice_points(gauge.dim, gauge.box)[missing[0]]
+        raise ValueError(
+            f"gauge undefined at {p}; the pipeline needs a value at every "
+            f"point of the box [-{gauge.box}, {gauge.box}]^{gauge.dim}"
+        )
 
 
 def zero_gauge(dim: int, box: int = DEFAULT_BOX) -> GaugeFunction:
-    return GaugeFunction(dim, box, {p: 0.0 for p in lattice_points(dim, box)})
+    return GaugeFunction(dim, box, np.zeros((2 * box + 1) ** dim))
 
 
 def quadratic_gauge(dim: int, box: int = DEFAULT_BOX) -> GaugeFunction:
-    return GaugeFunction(
-        dim, box, {p: float(sum(x * x for x in p)) for p in lattice_points(dim, box)}
-    )
+    squares = [float(sum(x * x for x in p)) for p in lattice_points(dim, box)]
+    return GaugeFunction(dim, box, squares)
 
 
 def random_gauge(
     dim: int, box: int = DEFAULT_BOX, seed: int = 0, scale: float = 1.0
 ) -> GaugeFunction:
-    rng = np.random.default_rng(seed)
-    values = {}
-    for p in lattice_points(dim, box):
-        values[p] = 0.0 if all(x == 0 for x in p) else scale * float(
-            rng.uniform(-1.0, 1.0)
-        )
-    return GaugeFunction(dim, box, values)
+    """Uniform values in [-scale, scale], drawn in lattice order skipping the
+    origin."""
+    side = (2 * box + 1) ** dim
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, side - 1)
+    return GaugeFunction(dim, box, np.insert(scale * draws, side // 2, 0.0))
 
 
 def gauge_to_json(gauge: GaugeFunction, pretty: bool = False) -> str:
+    points = lattice_points(gauge.dim, gauge.box)
+    defined = np.flatnonzero(~np.isnan(gauge.values))
     entries = [
-        {"f": list(point), "c": gauge.values[point]} for point in gauge.lattice()
+        {"f": list(points[i]), "c": c}
+        for i, c in zip(defined.tolist(), gauge.values[defined].tolist())
     ]
     return json.dumps(entries, indent=2 if pretty else None, sort_keys=True)
 
 
 def gauge_from_json(text: str) -> GaugeFunction:
+    """Reads a list of {"f": point, "c": value}; the box is the largest
+    coordinate, at least 1.  Raises ValueError for a value that is not
+    finite."""
     entries = json.loads(text)
     if not isinstance(entries, list) or not entries:
         raise ValueError("gauge file must be a nonempty JSON list")
-    values = {}
-    dim = None
-    for entry in entries:
-        point = tuple(int(x) for x in entry["f"])
-        if dim is None:
-            dim = len(point)
-        elif len(point) != dim:
-            raise ValueError("inconsistent vector lengths in gauge file")
-        values[point] = float(entry["c"])
-    box = max(abs(x) for p in values for x in p)
-    return GaugeFunction(dim, max(box, 1), values)
+    points = [[int(x) for x in entry["f"]] for entry in entries]
+    values = np.array([float(entry["c"]) for entry in entries])
+    dim = len(points[0])
+    if any(len(p) != dim for p in points):
+        raise ValueError("inconsistent vector lengths in gauge file")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        n = bad[0]
+        raise ValueError(f"gauge value {values[n]} at {tuple(points[n])} not finite")
+    coords = np.array(points, dtype=np.intp).reshape(-1, dim)
+    box = max(1, int(np.abs(coords).max(initial=0)))
+    table = np.full((2 * box + 1) ** dim, np.nan)
+    table[_point_index(coords.T, box)] = values
+    return GaugeFunction(dim, box, table)
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +241,28 @@ def gauge_from_json(text: str) -> GaugeFunction:
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """Family f -> G_f + s(f)*1 with shifts tabulated on the lattice.
+    """Family f -> G_f + s(f)*1 with shifts tabulated on the lattice box, in
+    `lattice_points` order and NaN where undefined.
 
     With ray_linear set, a multiple c * e_axis of a basis direction that is
     off the lattice takes the linear extension c * s(e_axis).
     """
 
     rep: fock.FockRep
-    lattice_shifts: dict
+    box: int
+    lattice_shifts: np.ndarray
     ray_linear: bool = False
 
     def shift(self, f) -> float:
-        key = _lattice_key(f)
-        if key is not None and key in self.lattice_shifts:
-            return self.lattice_shifts[key]
-        live = [(ax, float(x)) for ax, x in enumerate(f) if abs(float(x)) > _INT_EPS]
-        if self.ray_linear and len(live) == 1:
-            axis, c = live[0]
-            unit = self.lattice_shifts.get(_basis(len(tuple(f)), axis))
-            if unit is not None:
-                return c * unit
-        raise KeyError(f"family shift undefined at {tuple(f)}")
+        try:
+            return _lookup(self.lattice_shifts, self.box, "family shift", f)
+        except KeyError:
+            live = [(ax, float(x)) for ax, x in enumerate(f) if abs(x) > _INT_EPS]
+            if not (self.ray_linear and len(live) == 1):
+                raise
+        axis, c = live[0]
+        unit = _basis(len(tuple(f)), axis)
+        return c * _lookup(self.lattice_shifts, self.box, "family shift", unit)
 
     def values(self, f) -> np.ndarray:
         """G_f + s(f)*1 as values on the representation's sparse pattern."""
@@ -254,17 +279,15 @@ class OperatorFamily:
 def family_from_gauge(rep: fock.FockRep, gauge: GaugeFunction) -> OperatorFamily:
     if gauge.dim != rep.space.dim:
         raise ValueError("gauge dimension does not match the representation")
-    return OperatorFamily(rep=rep, lattice_shifts=dict(gauge.values))
+    return OperatorFamily(rep, gauge.box, gauge.values)
 
 
 def corrected_family(
     rep: fock.FockRep, gauge: GaugeFunction, gamma: "Coboundary"
 ) -> OperatorFamily:
     """Shifts chi = c - gamma; additive on the lattice, linear along rays."""
-    shifts = {
-        p: gauge.values[p] - gamma.values[p] for p in gauge.values
-    }
-    return OperatorFamily(rep=rep, lattice_shifts=shifts, ray_linear=True)
+    shifts = gauge.values - gamma.values
+    return OperatorFamily(rep, gauge.box, shifts, ray_linear=True)
 
 
 # ---------------------------------------------------------------------------
@@ -304,38 +327,11 @@ def extract_xi(
 
 
 @dataclass(frozen=True)
-class Cocycle:
-    """Symmetric pair table xi(f,g) on lattice pairs with f+g in the box."""
+class Cocycle(_Table):
+    """Symmetric pair table xi(f,g): points x points, NaN off the pairs with
+    f+g in the box."""
 
-    dim: int
-    box: int
-    values: dict
-
-    def value(self, f, g) -> float:
-        return self.values[(tuple(f), tuple(g))]
-
-    def pairs(self):
-        return sorted(self.values)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """xi as a read-only points x points array in `lattice_points` order,
-        NaN where no pair is stored.  Raises KeyError for a pair off the
-        lattice box and ValueError for a value that is not finite."""
-        keys = np.array(list(self.values), dtype=np.intp).reshape(-1, 2, self.dim)
-        vals = np.fromiter(self.values.values(), dtype=float, count=len(keys))
-        rows = _point_index(keys[:, 0].T, self.box)
-        cols = _point_index(keys[:, 1].T, self.box)
-        off_box = np.flatnonzero((rows < 0) | (cols < 0))
-        if off_box.size:
-            raise KeyError(f"pair {keys[off_box[0]].tolist()} lies off the lattice box")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("cocycle values must be finite")
-        side = (2 * self.box + 1) ** self.dim
-        out = np.full((side, side), np.nan)
-        out[rows, cols] = vals
-        out.setflags(write=False)
-        return out
+    rank = 2
 
 
 # entries of each pairs x points temporary in the cocycle identity check:
@@ -400,16 +396,13 @@ def build_cocycle(
     family = family_from_gauge(rep, gauge)
     gens = np.array([family.values(p)[seen] for p in points])
 
-    values = {}
+    values = np.full(add.shape, np.nan)
     for i, f in enumerate(points):  # one chunk of pairs (f, g >= f) per f
         js = i + np.flatnonzero(add[i, i:] >= 0)
-        means = _probe_rows(
+        values[i, js] = values[js, i] = _probe_rows(
             gens[i] + gens[js] - gens[add[i, js]], weights, tol,
             lambda n: f"f={f}, g={points[js[n]]}",
         )
-        for j, xi in zip(js.tolist(), means.tolist()):
-            values[(f, points[j])] = xi
-            values[(points[j], f)] = xi
     return Cocycle(dim=gauge.dim, box=gauge.box, values=values)
 
 
@@ -418,11 +411,11 @@ def verify_cocycle(xi: Cocycle, tol: float = COCYCLE_TOL):
 
         xi(f,g) + xi(f+g,h) - xi(f,g+h) - xi(g,h) = 0
 
-    for every stored pair (f,g) and lattice point h with g+h and f+g+h in
-    the box; returns (ok, max defect).  Raises KeyError when the table lacks
-    a mirror pair or a pair the identity needs.
+    for every stored (not NaN) pair (f,g) and lattice point h with g+h and
+    f+g+h in the box; returns (ok, max defect).  Raises KeyError when the
+    table lacks a mirror pair or a pair the identity needs.
     """
-    t = xi.table
+    t = xi.values
     stored = ~np.isnan(t)
     if np.any(stored & ~stored.T):
         raise KeyError("cocycle table lacks the mirror of a stored pair")
@@ -446,41 +439,32 @@ def verify_cocycle(xi: Cocycle, tol: float = COCYCLE_TOL):
 
 
 @dataclass(frozen=True)
-class Coboundary:
+class Coboundary(_Table):
     """Potential gamma with gamma(f)+gamma(g)-gamma(f+g) = xi(f,g)."""
 
-    dim: int
-    box: int
-    values: dict
     sweep_disagreement: float = 0.0
 
-    def value(self, f) -> float:
-        key = _lattice_key(f)
-        if key is None or key not in self.values:
-            raise KeyError(f"coboundary undefined at {tuple(f)}")
-        return self.values[key]
 
-
-def _solve_sweep(xi: Cocycle, pivot_low: bool) -> dict:
-    dim, box = xi.dim, xi.box
-    origin = (0,) * dim
-    gamma = {origin: 0.0}
-    for axis in range(dim):
-        gamma[_basis(dim, axis)] = 0.0
-    points = sorted(lattice_points(dim, box), key=lambda p: (sum(map(abs, p)), p))
-    for p in points:
-        if p in gamma:
+def _solve_sweep(xi: Cocycle, pivot_low: bool) -> np.ndarray:
+    points = lattice_points(xi.dim, xi.box)
+    origin = len(points) // 2
+    # index step of a unit move along each axis
+    stride = [(2 * xi.box + 1) ** (xi.dim - 1 - axis) for axis in range(xi.dim)]
+    gamma = np.full(len(points), np.nan)
+    gamma[[origin, *(origin + s for s in stride)]] = 0.0
+    t = xi.values
+    for i in sorted(range(len(points)), key=lambda i: sum(map(abs, points[i]))):
+        if not np.isnan(gamma[i]):
             continue
-        live = [ax for ax, x in enumerate(p) if x != 0]
+        live = [ax for ax, x in enumerate(points[i]) if x != 0]
         axis = min(live) if pivot_low else max(live)
-        e = _basis(dim, axis)
-        if p[axis] > 0:
-            q = _add(p, tuple(-x for x in e))
+        e = origin + stride[axis]
+        if points[i][axis] > 0:
+            q = i - stride[axis]
             # gamma(q+e) = gamma(q) + gamma(e) - xi(q,e), with gamma(e)=0
-            gamma[p] = gamma[q] - xi.values[(q, e)]
+            gamma[i] = gamma[q] - t[q, e]
         else:
-            q = _add(p, e)
-            gamma[p] = gamma[q] + xi.values[(p, e)]
+            gamma[i] = gamma[i + stride[axis]] + t[i, e]
     return gamma
 
 
@@ -494,35 +478,35 @@ def solve_coboundary(xi: Cocycle, tol: float = SWEEP_TOL) -> Coboundary:
     """
     sweep_a = _solve_sweep(xi, pivot_low=False)
     sweep_b = _solve_sweep(xi, pivot_low=True)
-    worst = max(abs(sweep_a[p] - sweep_b[p]) for p in sweep_a)
+    gaps = np.abs(sweep_a - sweep_b)
+    if np.any(np.isnan(gaps)):
+        raise KeyError("cocycle table lacks a pair the sweeps need")
+    worst = float(gaps.max())
     if worst > tol:
         raise PathDependenceError(
             f"sweep orders disagree by {worst:.3e}; input is not a cocycle"
         )
-    return Coboundary(
-        dim=xi.dim, box=xi.box, values=sweep_a, sweep_disagreement=worst
-    )
+    return Coboundary(xi.dim, xi.box, sweep_a, sweep_disagreement=worst)
 
 
 def coboundary_defect(xi: Cocycle, gamma: Coboundary) -> float:
     """Max pointwise error of the defining equation over all stored pairs."""
-    t = xi.table
+    t, potential = xi.values, gamma.values
     rows, cols = np.nonzero(~np.isnan(t))
     sums = _addition_table(xi.dim, xi.box)[rows, cols]
-    potential = _on_lattice(gamma.values, xi.dim, xi.box)
     recon = potential[rows] + potential[cols] - potential[sums]
     if np.any((sums < 0) | np.isnan(recon)):
         raise KeyError("coboundary undefined at a point the cocycle needs")
     return max(0.0, float(np.max(np.abs(recon - t[rows, cols]), initial=0.0)))
 
 
-def _additivity_defects(values: dict, dim: int, box: int):
-    """v(f) + v(g) - v(f+g) for a table v over the pairs f <= g (lattice
-    order) of its domain with f+g in the box; returns (rows, cols, defects)
-    with rows, cols the points' lattice indices, in row-major pair order."""
+def _additivity_defects(v: np.ndarray, dim: int, box: int):
+    """v(f) + v(g) - v(f+g) for a lattice table v over the pairs f <= g
+    (lattice order) of its domain with f+g in the box; returns (rows, cols,
+    defects) with rows, cols the points' lattice indices, in row-major pair
+    order."""
     add = _addition_table(dim, box)
-    v = _on_lattice(values, dim, box)
-    domain = np.array([p in values for p in lattice_points(dim, box)])
+    domain = ~np.isnan(v)
     rows, cols = np.nonzero(np.triu(domain[:, None] & domain[None, :] & (add >= 0)))
     defects = v[rows] + v[cols] - v[add[rows, cols]]
     if np.any(np.isnan(defects)):
@@ -533,7 +517,7 @@ def _additivity_defects(values: dict, dim: int, box: int):
 def character_defect(gauge: GaugeFunction, gamma: Coboundary) -> float:
     """Additivity defect of chi = gamma - c; zero means gamma differs from
     the gauge by an exactly additive character."""
-    chi = {p: gamma.values[p] - gauge.values[p] for p in gauge.values}
+    chi = gamma.values - gauge.values
     _, _, defects = _additivity_defects(chi, gauge.dim, gauge.box)
     return max(0.0, float(np.max(np.abs(defects), initial=0.0)))
 
@@ -582,30 +566,37 @@ def extract_zeta(
     vanish there and be additive over in-grid sums, otherwise the family is
     inconsistent and this raises.
     """
+    return _zeta_tables(family, (axis,), grid, cutoff, tol, seed)[axis]
+
+
+def _zeta_tables(family: OperatorFamily, axes, grid, cutoff, tol, seed) -> dict:
+    """`extract_zeta`'s table for each of `axes`, axis by axis, from one
+    `_rayleigh_weights` build."""
     grid = [float(c) for c in grid]
     if not any(c == 0.0 for c in grid) or not any(c == 1.0 for c in grid):
         raise ValueError("scalar grid must contain 0 and 1")
-    e = _basis(family.rep.space.dim, axis)
     seen, weights = _rayleigh_weights(family.rep, cutoff, seed)
-    unit = family.values(e)[seen]
-    rows = [family.values(tuple(c * x for x in e))[seen] - c * unit for c in grid]
-    zetas = _probe_rows(
-        np.array(rows), weights, max(tol, 1e-9), lambda n: f"axis {axis}, c={grid[n]}"
-    )
-    table = dict(zip(map(_ray_key, grid), zetas.tolist()))
-    if abs(table[_ray_key(0.0)]) > tol or abs(table[_ray_key(1.0)]) > tol:
-        raise AdditivityError("scaling defect must vanish at 0 and 1")
-    keys = sorted(table)
-    for a in keys:
-        for b in keys:
+    tables = {}
+    for axis in axes:
+        e = _basis(family.rep.space.dim, axis)
+        unit = family.values(e)[seen]
+        rows = [family.values(tuple(c * x for x in e))[seen] - c * unit for c in grid]
+        zetas = _probe_rows(
+            np.array(rows), weights, max(tol, 1e-9),
+            lambda n: f"axis {axis}, c={grid[n]}",
+        )
+        table = tables[axis] = dict(zip(map(_ray_key, grid), zetas.tolist()))
+        if abs(table[_ray_key(0.0)]) > tol or abs(table[_ray_key(1.0)]) > tol:
+            raise AdditivityError("scaling defect must vanish at 0 and 1")
+        keys = sorted(table)
+        for a, b in itertools.product(keys, keys):
             target = _ray_key(a + b)
-            if target in table:
-                gap = abs(table[a] + table[b] - table[target])
-                if gap > tol:
-                    raise AdditivityError(
-                        f"scaling samples not additive at {a}+{b} (defect {gap:.3e})"
-                    )
-    return table
+            gap = abs(table[a] + table[b] - table[target]) if target in table else 0.0
+            if gap > tol:
+                raise AdditivityError(
+                    f"scaling samples not additive at {a}+{b} (defect {gap:.3e})"
+                )
+    return tables
 
 
 def extract_theta(
@@ -622,9 +613,7 @@ def extract_theta(
         box = DEFAULT_BOX
     dim = family.rep.space.dim
     full_grid = sorted(set(float(c) for c in grid) | set(map(float, range(-box, box + 1))))
-    zeta = {}
-    for axis in range(dim):
-        zeta[axis] = extract_zeta(family, axis, full_grid, cutoff, tol, seed)
+    zeta = _zeta_tables(family, range(dim), full_grid, cutoff, tol, seed)
     return HomogeneityData(dim=dim, box=box, zeta=zeta)
 
 
@@ -642,40 +631,33 @@ def improve_family(
     """Builds the corrected family and certifies it additive and homogeneous.
 
     The shift of the improved family is c - gamma - theta.  Additivity is
-    checked scalar-wise on every in-box pair and by the spectral norms of
-    the defect operators of _MATRIX_SAMPLES evenly spaced pairs; homogeneity
-    by defect norms along basis rays.  Each defect operator is combined from
-    value rows and made dense on its own.
+    checked scalar-wise on every in-box pair and by the norms of the defect
+    operators of _MATRIX_SAMPLES evenly spaced pairs; homogeneity by defect
+    norms along basis rays.  Each defect operator is combined from value
+    rows, and its norm is the Frobenius norm of its values on the sparse
+    pattern, an upper bound on its spectral norm.
     """
-
-    def norm(data):
-        return np.linalg.norm(fock.pattern_matrix(rep, data).toarray(), 2)
-
-    shifts = {}
-    for p in gauge.values:
-        theta = homogeneity.theta(p) if homogeneity is not None else 0.0
-        shifts[p] = gauge.values[p] - gamma.values[p] - theta
-    improved = OperatorFamily(rep=rep, lattice_shifts=shifts, ray_linear=True)
+    points = lattice_points(gauge.dim, gauge.box)
+    theta = 0.0 if homogeneity is None else [homogeneity.theta(p) for p in points]
+    shifts = gauge.values - gamma.values - np.asarray(theta)
+    improved = OperatorFamily(rep, gauge.box, shifts, ray_linear=True)
+    values = improved.values
 
     rows, cols, defects = _additivity_defects(shifts, gauge.dim, gauge.box)
     worst = max(0.0, float(np.max(np.abs(defects), initial=0.0)))
     if worst > tol:
         raise ImprovementError(f"improved family not additive (defect {worst:.3e})")
-    points = lattice_points(gauge.dim, gauge.box)
     step = max(1, len(rows) // _MATRIX_SAMPLES)
     for i, j in zip(rows[::step].tolist(), cols[::step].tolist()):
         f, g = points[i], points[j]
-        fg = _add(f, g)
-        defect = norm(improved.values(f) + improved.values(g) - improved.values(fg))
+        defect = np.linalg.norm(values(f) + values(g) - values(_add(f, g)))
         if defect > tol:
-            raise ImprovementError(
-                f"matrix additivity defect {defect:.3e} at {f}, {g}"
-            )
+            raise ImprovementError(f"matrix additivity defect {defect:.3e} at {f}, {g}")
     for axis in range(gauge.dim):
         e = _basis(gauge.dim, axis)
-        unit = improved.values(e)
+        unit = values(e)
         for c in (-1.0, 2.0, 0.5, float(gauge.box)):
-            defect = norm(improved.values(tuple(c * x for x in e)) - c * unit)
+            defect = np.linalg.norm(values(tuple(c * x for x in e)) - c * unit)
             if defect > tol:
                 raise ImprovementError(
                     f"matrix homogeneity defect {defect:.3e} at axis {axis}, c={c}"
@@ -745,17 +727,19 @@ def run_pipeline(
         "all_pass": False,
     }
 
+    points = [list(p) for p in lattice_points(gauge.dim, gauge.box)]
     xi = build_cocycle(rep, gauge, cutoff=cutoff, seed=seed)
     if corrupt_pair:
-        values = dict(xi.values)
-        f = _basis(gauge.dim, 0)
-        if (f, f) not in values:
+        values = xi.values.copy()
+        e = _index(_basis(gauge.dim, 0), gauge.box)
+        if np.isnan(values[e, e]):
             raise ValueError("fault injection needs a box of radius >= 2")
-        values[(f, f)] += 1.0
+        values[e, e] += 1.0
         xi = Cocycle(dim=xi.dim, box=xi.box, values=values)
+    rows, cols = np.nonzero(~np.isnan(xi.values))
     report["xi"] = [
-        {"f": list(f_), "g": list(g_), "value": xi.values[(f_, g_)]}
-        for f_, g_ in xi.pairs()
+        {"f": points[i], "g": points[j], "value": v}
+        for i, j, v in zip(rows.tolist(), cols.tolist(), xi.values[rows, cols].tolist())
     ]
     ok, defect = verify_cocycle(xi)
     stages["cocycle"] = {"ok": ok, "max_defect": defect}
@@ -774,7 +758,7 @@ def run_pipeline(
         "reproduction_defect": repro,
     }
     report["gamma"] = [
-        {"f": list(p), "value": gamma.values[p]} for p in sorted(gamma.values)
+        {"f": p, "value": v} for p, v in zip(points, gamma.values.tolist())
     ]
     if not stages["coboundary"]["ok"]:
         return report
@@ -786,9 +770,7 @@ def run_pipeline(
 
     corrected = corrected_family(rep, gauge, gamma)
     try:
-        homogeneity = extract_theta(
-            corrected, grid, box=gauge.box, cutoff=cutoff, seed=seed
-        )
+        homogeneity = extract_theta(corrected, grid, gauge.box, cutoff, seed=seed)
     except (AdditivityError, NotScalarError) as exc:
         stages["homogeneity"] = {"ok": False, "error": str(exc)}
         return report

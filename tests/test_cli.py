@@ -319,6 +319,24 @@ def test_cohomology_gauge_off_part_of_the_box_exits_2(capsys, tmp_path):
     assert "(-1, -1)" in err
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_cohomology_non_finite_gauge_value_exits_2(capsys, tmp_path, bad):
+    # Python's json reads both; the run must stop at validation, not abort
+    gauge = cohomology.random_gauge(2, 2, seed=1)
+    entries = json.loads(cohomology.gauge_to_json(gauge))
+    entries[3]["c"] = float(bad)
+    path = tmp_path / "gauge.json"
+    path.write_text(json.dumps(entries))
+    assert bad in path.read_text()
+    code, out, err = run_cli(
+        capsys, "cohomology", "--trunc", "16", "--gauge", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: bad gauge file: ")
+    assert "not finite" in err
+
+
 def test_cohomology_unreadable_gauge_exits_2(capsys, tmp_path):
     path = tmp_path / "gauge.json"
     path.write_text("not json at all")

@@ -30,12 +30,11 @@ def dense(family, f):
 
 def closed_form_xi(gauge, f, g):
     total = tuple(a + b for a, b in zip(f, g))
-    return gauge.values[f] + gauge.values[g] - gauge.values[total]
+    return gauge.value(f) + gauge.value(g) - gauge.value(total)
 
 
-# Reference loops: the lattice checks written pair by pair.  The array code
-# in the module evaluates the same expressions in the same order, so its
-# results must equal these exactly.
+# Lattice tables are arrays in lattice order (lexicographic points of the
+# box), NaN where undefined.  These helpers index them without the module.
 
 
 def _add(p, q):
@@ -46,22 +45,79 @@ def _in_box(p, box):
     return all(abs(x) <= box for x in p)
 
 
+def lattice(dim, box):
+    return list(itertools.product(range(-box, box + 1), repeat=dim))
+
+
+def at(box, *points):
+    """Array index of the integer points, one axis per point."""
+    index = []
+    for p in points:
+        i = 0
+        for x in p:
+            i = i * (2 * box + 1) + x + box
+        index.append(i)
+    return tuple(index)
+
+
+def lattice_table(dim, box, entries):
+    """A lattice table with `entries` ({point: value}) set, NaN elsewhere."""
+    out = np.full((2 * box + 1) ** dim, np.nan)
+    for p, v in entries.items():
+        out[at(box, p)] = v
+    return out
+
+
+def edited(xi, changes):
+    """xi with each pair of `changes` set to its value (NaN drops it)."""
+    values = xi.values.copy()
+    for (f, g), v in changes.items():
+        values[at(xi.box, f, g)] = v
+    return coh.Cocycle(dim=xi.dim, box=xi.box, values=values)
+
+
+def stored_pairs(xi):
+    """{(f, g): xi(f,g)} over the pairs the table defines."""
+    points = lattice(xi.dim, xi.box)
+    return {
+        (f, g): float(xi.values[at(xi.box, f, g)])
+        for f in points
+        for g in points
+        if not np.isnan(xi.values[at(xi.box, f, g)])
+    }
+
+
+# Reference loops: the lattice checks written pair by pair over lattice
+# indices.  The array code in the module evaluates the same expressions in
+# the same order, so its results must equal these exactly.  A pair that is
+# off the box or undefined raises KeyError.
+
+
+def _entry(values, box, *points):
+    if not all(_in_box(p, box) for p in points):
+        raise KeyError(points)
+    value = values[at(box, *points)]
+    if np.isnan(value):
+        raise KeyError(points)
+    return float(value)
+
+
 def loop_verify_cocycle(xi, tol=coh.COCYCLE_TOL):
+    pairs = stored_pairs(xi)
     worst = 0.0
-    for (f, g), value in xi.values.items():
-        worst = max(worst, abs(value - xi.values[(g, f)]))
-    points = coh.lattice_points(xi.dim, xi.box)
-    for f, g in xi.pairs():
+    for (f, g), value in pairs.items():
+        worst = max(worst, abs(value - _entry(xi.values, xi.box, g, f)))
+    for f, g in sorted(pairs):
         fg = _add(f, g)
-        for h in points:
+        for h in lattice(xi.dim, xi.box):
             gh = _add(g, h)
             if not _in_box(gh, xi.box) or not _in_box(_add(fg, h), xi.box):
                 continue
             defect = (
-                xi.values[(f, g)]
-                + xi.values[(fg, h)]
-                - xi.values[(f, gh)]
-                - xi.values[(g, h)]
+                pairs[(f, g)]
+                + _entry(xi.values, xi.box, fg, h)
+                - _entry(xi.values, xi.box, f, gh)
+                - _entry(xi.values, xi.box, g, h)
             )
             worst = max(worst, abs(defect))
     return worst <= tol, worst
@@ -69,21 +125,31 @@ def loop_verify_cocycle(xi, tol=coh.COCYCLE_TOL):
 
 def loop_coboundary_defect(xi, gamma):
     worst = 0.0
-    for (f, g), value in xi.values.items():
-        recon = gamma.values[f] + gamma.values[g] - gamma.values[_add(f, g)]
+    for (f, g), value in stored_pairs(xi).items():
+        recon = (
+            _entry(gamma.values, xi.box, f)
+            + _entry(gamma.values, xi.box, g)
+            - _entry(gamma.values, xi.box, _add(f, g))
+        )
         worst = max(worst, abs(recon - value))
     return worst
 
 
 def loop_character_defect(gauge, gamma):
+    box = gauge.box
+    domain = [
+        p for p in lattice(gauge.dim, box) if not np.isnan(gauge.values[at(box, p)])
+    ]
+
+    def chi(p):
+        return _entry(gamma.values, box, p) - _entry(gauge.values, box, p)
+
     worst = 0.0
-    for f in gauge.values:
-        for g in gauge.values:
+    for f in domain:
+        for g in domain:
             total = _add(f, g)
-            if not _in_box(total, gauge.box):
-                continue
-            chi = lambda p: gamma.values[p] - gauge.values[p]
-            worst = max(worst, abs(chi(f) + chi(g) - chi(total)))
+            if _in_box(total, box):
+                worst = max(worst, abs(chi(f) + chi(g) - chi(total)))
     return worst
 
 
@@ -98,7 +164,7 @@ def test_lattice_points_count():
 
 def test_gauge_constructors():
     zero = coh.zero_gauge(2, 2)
-    assert set(zero.values.values()) == {0.0}
+    assert set(zero.values.tolist()) == {0.0}
     quad = coh.quadratic_gauge(2, 2)
     assert quad.value((1, 2)) == 5.0
     assert quad.value((0, 0)) == 0.0
@@ -106,18 +172,18 @@ def test_gauge_constructors():
     assert rand.value((0, 0)) == 0.0
     assert rand.value((1, 1)) != 0.0
     # same seed reproduces, different seed does not
-    assert coh.random_gauge(2, 2, seed=1).values == rand.values
-    assert coh.random_gauge(2, 2, seed=2).values != rand.values
+    assert np.array_equal(coh.random_gauge(2, 2, seed=1).values, rand.values)
+    assert not np.array_equal(coh.random_gauge(2, 2, seed=2).values, rand.values)
 
 
 def test_gauge_validation():
     with pytest.raises(ValueError):
-        coh.GaugeFunction(2, 1, {(0, 0): 0.0, (2, 0): 1.0})  # out of box
+        coh.GaugeFunction(2, 1, np.zeros(8))  # the box [-1,1]^2 has 9 points
     with pytest.raises(ValueError):
-        coh.GaugeFunction(2, 1, {(0, 0): 0.5})  # origin must vanish
+        coh.GaugeFunction(2, 1, lattice_table(2, 1, {(0, 0): 0.5}))  # origin != 0
     with pytest.raises(ValueError):
-        coh.GaugeFunction(2, 1, {(1, 0): 1.0})  # (-1,0) missing
-    gauge = coh.GaugeFunction(2, 1, {(1, 0): 1.0, (-1, 0): 2.0})
+        coh.GaugeFunction(2, 1, lattice_table(2, 1, {(1, 0): 1.0}))  # (-1,0) missing
+    gauge = coh.GaugeFunction(2, 1, lattice_table(2, 1, {(1, 0): 1.0, (-1, 0): 2.0}))
     assert gauge.value((0, 0)) == 0.0  # origin inserted automatically
     with pytest.raises(KeyError):
         gauge.value((0.5, 0.0))
@@ -127,12 +193,26 @@ def test_gauge_json_round_trip():
     gauge = coh.random_gauge(2, 2, seed=3)
     text = coh.gauge_to_json(gauge, pretty=True)
     back = coh.gauge_from_json(text)
-    assert back.values == gauge.values
+    assert np.array_equal(back.values, gauge.values)
     assert back.dim == 2 and back.box == 2
     with pytest.raises(ValueError):
         coh.gauge_from_json("[]")
     with pytest.raises(ValueError):
         coh.gauge_from_json('[{"f": [1, 0], "c": 1.0}, {"f": [1], "c": 0.0}]')
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_gauge_rejects_non_finite_values(bad):
+    # NaN marks an undefined point of a table, so a file may not set one
+    entries = json.loads(coh.gauge_to_json(coh.random_gauge(2, 2, seed=1)))
+    entries[3]["c"] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        coh.gauge_from_json(json.dumps(entries))
+    if not np.isnan(bad):
+        values = coh.random_gauge(2, 2, seed=1).values.copy()
+        values[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            coh.GaugeFunction(2, 2, values)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +241,13 @@ def test_build_cocycle_closed_form_and_symmetry(rep, random_setup):
     gauge, xi, _ = random_setup
     assert xi.value((1, 0), (0, 1)) == xi.value((0, 1), (1, 0))
     worst = max(
-        abs(v - closed_form_xi(gauge, f, g)) for (f, g), v in xi.values.items()
+        abs(v - closed_form_xi(gauge, f, g)) for (f, g), v in stored_pairs(xi).items()
     )
     assert worst < 1e-10
     # only pairs with the sum inside the box are tabulated
-    assert ((3, 0), (1, 0)) not in xi.values
+    assert np.isnan(xi.values[at(3, (3, 0), (1, 0))])
+    with pytest.raises(KeyError):
+        xi.value((3, 0), (1, 0))
 
 
 def test_verify_cocycle_accepts_extracted(random_setup):
@@ -176,10 +258,9 @@ def test_verify_cocycle_accepts_extracted(random_setup):
 
 def test_verify_cocycle_detects_corruption(random_setup):
     _, xi, _ = random_setup
-    bad = dict(xi.values)
-    bad[((1, 1), (1, 0))] += 0.5
-    bad[((1, 0), (1, 1))] += 0.5
-    ok, defect = coh.verify_cocycle(coh.Cocycle(dim=2, box=3, values=bad))
+    v = xi.value((1, 1), (1, 0)) + 0.5
+    bad = edited(xi, {((1, 1), (1, 0)): v, ((1, 0), (1, 1)): v})
+    ok, defect = coh.verify_cocycle(bad)
     assert not ok and defect > 0.1
 
 
@@ -199,7 +280,7 @@ def test_build_cocycle_matches_per_pair_extraction():
                 ref = coh.extract_xi(rep, gauge, f, g, cutoff=cutoff, seed=seed)
                 assert abs(xi.value(f, g) - ref) <= 1e-13
                 assert xi.value(g, f) == xi.value(f, g)
-        assert len(xi.values) == expected
+        assert len(stored_pairs(xi)) == expected
 
 
 def test_build_cocycle_names_first_non_scalar_pair(rep, monkeypatch):
@@ -238,11 +319,11 @@ def test_lattice_checks_equal_reference_loops(random_setup):
     assert coh.verify_cocycle(xi) == loop_verify_cocycle(xi)
     assert coh.coboundary_defect(xi, gamma) == loop_coboundary_defect(xi, gamma)
     assert coh.character_defect(gauge, gamma) == loop_character_defect(gauge, gamma)
-    bad = dict(xi.values)
-    bad[((1, 1), (1, 0))] += 0.5
-    bad[((1, 0), (1, 1))] += 0.25  # asymmetric as well
-    bad[((-2, 0), (3, -1))] -= 1e-7
-    corrupt = coh.Cocycle(dim=2, box=3, values=bad)
+    corrupt = edited(xi, {
+        ((1, 1), (1, 0)): xi.value((1, 1), (1, 0)) + 0.5,
+        ((1, 0), (1, 1)): xi.value((1, 0), (1, 1)) + 0.25,  # asymmetric as well
+        ((-2, 0), (3, -1)): xi.value((-2, 0), (3, -1)) - 1e-7,
+    })
     got = coh.verify_cocycle(corrupt)
     assert got == loop_verify_cocycle(corrupt)
     assert got[0] is False
@@ -259,50 +340,50 @@ def test_additivity_defects_equal_reference_loop(random_setup):
     # improve_family's pair list and scalar defects, on a full lattice
     # domain and on a domain that is one axis of the box
     gauge, _, gamma = random_setup
-    axis_only = coh.GaugeFunction(
-        2, 3, {(k, 0): 0.1 * k * k + 0.3 * (k > 0) for k in range(-3, 4)}
-    )
-    for table, box in ((gauge.values, 3), (axis_only.values, 3)):
-        values = {p: v - gamma.values[p] for p, v in table.items()}
+    axis_values = {(k, 0): 0.1 * k * k + 0.3 * (k > 0) for k in range(-3, 4)}
+    axis_only = coh.GaugeFunction(2, 3, lattice_table(2, 3, axis_values))
+    box = 3
+    for gauge_ in (gauge, axis_only):
+        values = gauge_.values - gamma.values
+        domain = [p for p in lattice(2, box) if not np.isnan(values[at(box, p)])]
         pairs = [
             (f, g)
-            for f, g in itertools.combinations_with_replacement(sorted(values), 2)
+            for f, g in itertools.combinations_with_replacement(domain, 2)
             if _in_box(_add(f, g), box)
         ]
         rows, cols, defects = coh._additivity_defects(values, 2, box)
-        points = coh.lattice_points(2, box)
+        points = lattice(2, box)
         assert [(points[i], points[j]) for i, j in zip(rows, cols)] == pairs
         assert defects.tolist() == [
-            values[f] + values[g] - values[_add(f, g)] for f, g in pairs
+            values[at(box, f)] + values[at(box, g)] - values[at(box, _add(f, g))]
+            for f, g in pairs
         ]
-    sparse = coh.GaugeFunction(2, 2, {(1, 0): 1.0, (-1, 0): 2.0})
+    sparse = coh.GaugeFunction(2, 2, lattice_table(2, 2, {(1, 0): 1.0, (-1, 0): 2.0}))
     with pytest.raises(KeyError):  # (1,0) + (1,0) is off the domain
         coh._additivity_defects(sparse.values, 2, 2)
 
 
 def test_verify_cocycle_missing_pairs_raise_like_the_loop(random_setup):
     _, xi, _ = random_setup
-    no_mirror = dict(xi.values)
-    del no_mirror[((0, 1), (1, 0))]
+    no_mirror = edited(xi, {((0, 1), (1, 0)): np.nan})
     # a pair only the identity reads: (f+g, h) with f+g on the box face
-    no_inner = dict(xi.values)
-    del no_inner[((3, 0), (-3, 0))]
-    del no_inner[((-3, 0), (3, 0))]
+    no_inner = edited(xi, {((3, 0), (-3, 0)): np.nan, ((-3, 0), (3, 0)): np.nan})
     # a stored pair whose sum leaves the box
-    outside = dict(xi.values)
-    outside[((3, 0), (1, 0))] = outside[((1, 0), (3, 0))] = 0.0
-    for values in (no_mirror, no_inner, outside):
-        table = coh.Cocycle(dim=2, box=3, values=values)
+    outside = edited(xi, {((3, 0), (1, 0)): 0.0, ((1, 0), (3, 0)): 0.0})
+    for cocycle in (no_mirror, no_inner, outside):
         with pytest.raises(KeyError):
-            loop_verify_cocycle(table)
+            loop_verify_cocycle(cocycle)
         with pytest.raises(KeyError):
-            coh.verify_cocycle(table)
+            coh.verify_cocycle(cocycle)
+    # the low-axis sweep reaches (1, 1) through xi((0, 1), (1, 0))
+    with pytest.raises(KeyError):
+        coh.solve_coboundary(no_mirror)
 
 
 def test_zero_cocycle_gives_zero_potential(rep):
     xi = coh.build_cocycle(rep, coh.zero_gauge(2, 2))
     gamma = coh.solve_coboundary(xi)
-    assert set(gamma.values.values()) == {0.0}
+    assert set(gamma.values.tolist()) == {0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +422,10 @@ def test_character_is_additive(rep):
 
 def test_path_dependence_detection(random_setup):
     _, xi, _ = random_setup
-    bad = dict(xi.values)
-    bad[((1, 1), (1, 0))] += 0.5
-    bad[((1, 0), (1, 1))] += 0.5
+    v = xi.value((1, 1), (1, 0)) + 0.5
+    bad = edited(xi, {((1, 1), (1, 0)): v, ((1, 0), (1, 1)): v})
     with pytest.raises(coh.PathDependenceError):
-        coh.solve_coboundary(coh.Cocycle(dim=2, box=3, values=bad))
+        coh.solve_coboundary(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +435,7 @@ def test_path_dependence_detection(random_setup):
 def test_family_shift_lookup(rep, random_setup):
     gauge, _, gamma = random_setup
     fam = coh.corrected_family(rep, gauge, gamma)
-    chi = gauge.values[(2, -1)] - gamma.values[(2, -1)]
+    chi = gauge.value((2, -1)) - gamma.value((2, -1))
     assert fam.shift((2, -1)) == chi
     # ray fallback is linear in the unit value
     unit = fam.shift((1, 0))
@@ -438,7 +518,7 @@ def test_zeta_injection_round_trip(rep, random_setup):
     grid = (0.0, 1.0, s2, 1.0 + s2)
     injected = {s2: 0.3, 1.0 + s2: 0.3}
     table = {c: fam.shift((c, 0.0)) + injected.get(c, 0.0) for c in grid}
-    fam2 = RayInjected(fam.rep, fam.lattice_shifts, fam.ray_linear, table)
+    fam2 = RayInjected(fam.rep, fam.box, fam.lattice_shifts, fam.ray_linear, table)
     recovered = coh.extract_zeta(fam2, 0, grid)
     assert abs(recovered[coh._ray_key(s2)] - 0.3) < 1e-10
     assert abs(recovered[coh._ray_key(1.0 + s2)] - 0.3) < 1e-10
@@ -457,7 +537,7 @@ def test_zeta_detects_nonadditive_injection(rep, random_setup):
     gauge, _, gamma = random_setup
     fam = coh.corrected_family(rep, gauge, gamma)
     table = {0.5: fam.shift((0.5, 0.0)) + 0.3}
-    fam2 = RayInjected(fam.rep, fam.lattice_shifts, fam.ray_linear, table)
+    fam2 = RayInjected(fam.rep, fam.box, fam.lattice_shifts, fam.ray_linear, table)
     with pytest.raises(coh.AdditivityError):
         coh.extract_zeta(fam2, 0, (0.0, 0.5, 1.0))
 
@@ -474,6 +554,9 @@ def test_batched_zeta_matches_per_scalar_loop(modes, levels, box, cutoff, monkey
     monkeypatch.setattr(
         fock, "probe_block", lambda *a, **kw: built.append(a) or plain(*a, **kw)
     )
+    built.clear()
+    theta = coh.extract_theta(corrected, grid, box=box, cutoff=cutoff)
+    assert len(built) == 1  # one probe block for every axis
     for axis in range(2 * modes):
         built.clear()
         table = coh.extract_zeta(corrected, axis, grid, cutoff=cutoff)
@@ -481,6 +564,7 @@ def test_batched_zeta_matches_per_scalar_loop(modes, levels, box, cutoff, monkey
         ref = loop_extract_zeta(corrected, axis, grid, cutoff)
         assert table.keys() == ref.keys()
         assert max(abs(table[c] - ref[c]) for c in ref) <= 1e-13
+        assert theta.zeta[axis] == table
     raw = coh.family_from_gauge(rep_, gauge)
     with pytest.raises(coh.AdditivityError):
         coh.extract_zeta(raw, 0, integers, cutoff=cutoff)
@@ -547,9 +631,7 @@ def test_improve_quadratic_gauge(rep):
 
 def test_improve_rejects_wrong_potential(rep):
     gauge = coh.quadratic_gauge(2, 2)
-    bad = coh.Coboundary(
-        dim=2, box=2, values={p: 0.0 for p in coh.lattice_points(2, 2)}
-    )
+    bad = coh.Coboundary(dim=2, box=2, values=np.zeros(25))
     with pytest.raises(coh.ImprovementError):
         coh.improve_family(rep, gauge, bad)
 
