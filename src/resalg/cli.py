@@ -37,13 +37,6 @@ def _emit(args, payload: dict) -> None:
         print(text)
 
 
-def _parse_trunc(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise verify.ConfigError(f"bad truncation list {text!r}") from exc
-
-
 def _load_config(args) -> verify.Config:
     if getattr(args, "config", None):
         path = pathlib.Path(args.config)
@@ -54,7 +47,7 @@ def _load_config(args) -> verify.Config:
         config = verify.Config()
     overrides = {}
     if getattr(args, "trunc", None):
-        overrides["truncations"] = _parse_trunc(args.trunc)
+        overrides["truncations"] = args.trunc.split(",")
     for option, key in (("compress", "compression"), ("tol", "tolerance"), ("seed", "seed")):
         if getattr(args, option, None) is not None:
             overrides[key] = getattr(args, option)
@@ -90,11 +83,7 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = _load_config(args)
-    except verify.ConfigError as exc:
-        _eprint(f"config error: {exc}")
-        return 2
+    config = _load_config(args)
     result = verify.run_suite(config)
     _emit(args, result.to_report())
     failed = sorted({c.relation for c in result if not c.verdict})
@@ -106,30 +95,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    try:
-        config = _load_config(args)
-    except verify.ConfigError as exc:
-        _eprint(f"config error: {exc}")
-        return 2
+    config = _load_config(args)
     if args.gauge:
         path = pathlib.Path(args.gauge)
         if not path.exists():
-            _eprint(f"config error: gauge file not found: {path}")
-            return 2
+            raise verify.ConfigError(f"gauge file not found: {path}")
         try:
             gauge = cohomology.gauge_from_json(path.read_text())
             cohomology.require_full_box(gauge)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            _eprint(f"config error: bad gauge file: {exc}")
-            return 2
+        except ValueError as exc:
+            raise verify.ConfigError(f"bad gauge file: {exc}") from exc
     else:
         gauge = cohomology.zero_gauge(2 * config.modes, cohomology.DEFAULT_BOX)
     if gauge.dim != 2 * config.modes:
-        _eprint(
-            f"config error: gauge dimension {gauge.dim} does not match "
-            f"{config.modes} mode(s)"
+        raise verify.ConfigError(
+            f"gauge dimension {gauge.dim} does not match {config.modes} mode(s)"
         )
-        return 2
     rep = fock.build_rep(config.modes, config.truncations[0], config.max_dim)
     report = cohomology.run_pipeline(
         rep,
@@ -147,11 +128,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    try:
-        config = _load_config(args)
-    except verify.ConfigError as exc:
-        _eprint(f"config error: {exc}")
-        return 2
+    config = _load_config(args)
     rep = fock.build_rep(config.modes, config.truncations[0], config.max_dim)
     payload = {
         "schema_version": 1,
@@ -199,11 +176,7 @@ def cmd_schur(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        config = _load_config(args)
-    except verify.ConfigError as exc:
-        _eprint(f"config error: {exc}")
-        return 2
+    config = _load_config(args)
     rep = fock.build_rep(config.modes, config.truncations[0], config.max_dim)
     try:  # ParseError, DomainError or a letter of the wrong dimension
         expr = parse(args.expression)
@@ -290,7 +263,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except verify.ConfigError as exc:  # raised before any output is written
+        _eprint(f"config error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -214,21 +214,28 @@ def gauge_to_json(gauge: GaugeFunction, pretty: bool = False) -> str:
 
 def gauge_from_json(text: str) -> GaugeFunction:
     """Reads a list of {"f": point, "c": value}; the box is the largest
-    coordinate, at least 1.  Raises ValueError for a value that is not
-    finite."""
+    coordinate, at least 1.  Raises ValueError for an entry of another form,
+    a point that is not an integer point, or a value that is not finite."""
     entries = json.loads(text)
     if not isinstance(entries, list) or not entries:
         raise ValueError("gauge file must be a nonempty JSON list")
-    points = [[int(x) for x in entry["f"]] for entry in entries]
-    values = np.array([float(entry["c"]) for entry in entries])
+    try:
+        points = [[float(x) for x in entry["f"]] for entry in entries]
+        values = np.array([float(entry["c"]) for entry in entries])
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f'entries must be {{"f": point, "c": value}}: {exc}') from exc
     dim = len(points[0])
     if any(len(p) != dim for p in points):
         raise ValueError("inconsistent vector lengths in gauge file")
+    coords = np.array(points).reshape(-1, dim)
+    off = np.flatnonzero(np.any(coords % 1.0 != 0.0, axis=1))
+    if off.size:
+        raise ValueError(f"gauge point {entries[off[0]]['f']} is not an integer point")
+    coords = coords.astype(np.intp)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         n = bad[0]
-        raise ValueError(f"gauge value {values[n]} at {tuple(points[n])} not finite")
-    coords = np.array(points, dtype=np.intp).reshape(-1, dim)
+        raise ValueError(f"gauge value {values[n]} at {tuple(coords[n].tolist())} not finite")
     box = max(1, int(np.abs(coords).max(initial=0)))
     table = np.full((2 * box + 1) ** dim, np.nan)
     table[_point_index(coords.T, box)] = values
@@ -302,24 +309,6 @@ def _probe_scalar(rep: fock.FockRep, k: np.ndarray, cutoff: int, tol: float, see
             f"(mean {report.mean}, max deviation {report.max_deviation:.3e})"
         )
     return report.mean.real
-
-
-def extract_xi(
-    rep: fock.FockRep,
-    gauge: GaugeFunction,
-    f,
-    g,
-    cutoff: int = DEFAULT_CUTOFF,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> float:
-    """Additivity defect of the gauged family at (f,g), read off a dense
-    matrix by `fock.schur_constant`; the reference for `build_cocycle`."""
-    family = family_from_gauge(rep, gauge)
-    gf, gg, gfg = (
-        fock.pattern_matrix(rep, family.values(p)).toarray() for p in (f, g, _add(f, g))
-    )
-    return _probe_scalar(rep, gf + gg - gfg, cutoff, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +692,6 @@ def recover_shift(
 def run_pipeline(
     rep: fock.FockRep,
     gauge: GaugeFunction,
-    grid=DEFAULT_SCALAR_GRID,
     cutoff: int = DEFAULT_CUTOFF,
     seed: int = 0,
     corrupt_pair: bool = False,
@@ -770,7 +758,7 @@ def run_pipeline(
 
     corrected = corrected_family(rep, gauge, gamma)
     try:
-        homogeneity = extract_theta(corrected, grid, gauge.box, cutoff, seed=seed)
+        homogeneity = extract_theta(corrected, box=gauge.box, cutoff=cutoff, seed=seed)
     except (AdditivityError, NotScalarError) as exc:
         stages["homogeneity"] = {"ok": False, "error": str(exc)}
         return report

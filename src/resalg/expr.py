@@ -17,7 +17,6 @@ rewrite rules; they are certified numerically elsewhere.
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 from dataclasses import dataclass
@@ -37,11 +36,6 @@ class ParseError(ValueError):
 
 class DomainError(ValueError):
     """Raised when a generator parameter leaves the analytic domain."""
-
-
-class Equivalence(enum.Enum):
-    EQUAL = "equal"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -146,9 +140,6 @@ class Expr:
             out = out * self
         return out
 
-    def adjoint(self) -> "Expr":
-        return adjoint(self)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -246,13 +237,6 @@ def simplify(e: Expr) -> Expr:
         if nxt is None:
             return cur
         cur = nxt
-
-
-def equal_symbolic(a: Expr, b: Expr) -> Equivalence:
-    """EQUAL when a - b rewrites to zero; UNKNOWN otherwise (never 'unequal')."""
-    if simplify(a - b).is_zero():
-        return Equivalence.EQUAL
-    return Equivalence.UNKNOWN
 
 
 def check_dimension(e: Expr, dim: int) -> None:

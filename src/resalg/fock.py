@@ -361,15 +361,6 @@ def box_indices(rep: FockRep, cutoff: int) -> np.ndarray:
     return idx[keep]
 
 
-def compress(rep: FockRep, m: np.ndarray, cutoff: int) -> np.ndarray:
-    """Two-sided projection onto states with all mode levels below `cutoff`."""
-    m = np.asarray(m)
-    if m.shape != (rep.dim, rep.dim):
-        raise ValueError(f"matrix shape {m.shape} does not match dim {rep.dim}")
-    idx = box_indices(rep, cutoff)
-    return m[np.ix_(idx, idx)]
-
-
 @dataclass(frozen=True)
 class SchurReport:
     """Result of probing whether an operator acts as a multiple of 1."""

@@ -456,6 +456,61 @@ def _default_vectors(modes: int) -> tuple:
     return basis + ((1.0,) * dim,)
 
 
+def _integer(value) -> int:
+    """An integral number, as an int; a bool is not one."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _spectral(value) -> complex:
+    """A number, or [re, im]."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(float(value[0]), float(value[1]))
+    return complex(value)
+
+
+def _list(read):
+    """Reader of a list (or tuple) of items that `read` takes, as a tuple."""
+
+    def read_list(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{value!r} is not a list")
+        return tuple(read(x) for x in value)
+
+    return read_list
+
+
+def _optional(read):
+    return lambda value: None if value is None else read(value)
+
+
+# How each Config field is read.  Config(...), Config.from_dict and
+# dataclasses.replace all pass every field through its reader, then the
+# cross-field checks run.  `space` is read by `symplectic.space_from_config`.
+_READERS = {
+    "modes": _integer,
+    "truncations": _list(_integer),
+    "compression": _integer,
+    "tolerance": float,
+    "seed": _integer,
+    "space": lambda value: value,
+    "lambdas": _list(_spectral),
+    "scales": _list(float),
+    "vectors": _optional(_list(_list(float))),
+    "probes": _list(str),
+    "families": _optional(_list(str)),
+    "max_dim": _integer,
+}
+
+
+def _json_value(value):
+    """A field value as JSON: a tuple as a list, a complex by `_scalar_param`."""
+    if isinstance(value, tuple):
+        return [_json_value(x) for x in value]
+    return _scalar_param(value) if isinstance(value, complex) else value
+
+
 @dataclass(frozen=True)
 class Config:
     """Suite configuration; validated eagerly so bad files fail fast."""
@@ -474,57 +529,51 @@ class Config:
     max_dim: int = fock.DEFAULT_MAX_DIM
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", int(self.modes))
+        for name, read in _READERS.items():
+            try:
+                object.__setattr__(self, name, read(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad {name}: {exc}") from exc
         if self.modes < 1:
             raise ConfigError("modes must be a positive integer")
-        trunc = tuple(int(n) for n in self.truncations)
+        trunc = self.truncations
         if not trunc:
             raise ConfigError("truncation list must be nonempty")
         if any(n < 2 for n in trunc) or list(trunc) != sorted(set(trunc)):
             raise ConfigError("truncation list must be strictly ascending, each >= 2")
-        object.__setattr__(self, "truncations", trunc)
-        if trunc[-1] ** self.modes > int(self.max_dim):
+        if trunc[-1] ** self.modes > self.max_dim:
             raise ConfigError(
                 f"dimension {trunc[-1]}**{self.modes} exceeds the memory cap "
                 f"{self.max_dim}"
             )
-        m = int(self.compression)
-        if not 1 <= m <= trunc[0]:
+        if not 1 <= self.compression <= trunc[0]:
             raise ConfigError("compression cutoff must lie in [1, smallest truncation]")
-        object.__setattr__(self, "compression", m)
-        if not float(self.tolerance) > 0.0:
+        if not self.tolerance > 0.0:
             raise ConfigError("tolerance must be positive")
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "seed", int(self.seed))
-        lambdas = tuple(complex(z) for z in self.lambdas)
-        if not lambdas or any(z.real == 0.0 for z in lambdas):
+        if not self.lambdas or any(z.real == 0.0 for z in self.lambdas):
             raise ConfigError("every spectral parameter needs a nonzero real part")
-        object.__setattr__(self, "lambdas", lambdas)
-        scales = tuple(float(c) for c in self.scales)
-        if any(c == 0.0 for c in scales):
+        if any(c == 0.0 for c in self.scales):
             raise ConfigError("scaling parameters must be nonzero")
-        object.__setattr__(self, "scales", scales)
-        vectors = self.vectors
-        if vectors is None:
-            vectors = _default_vectors(self.modes)
-        vectors = tuple(tuple(float(x) for x in v) for v in vectors)
-        if any(len(v) != 2 * self.modes for v in vectors):
+        if self.vectors is None:
+            object.__setattr__(self, "vectors", _default_vectors(self.modes))
+        if any(len(v) != 2 * self.modes for v in self.vectors):
             raise ConfigError(
                 f"every vector must have {2 * self.modes} coordinates"
             )
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "probes", tuple(str(p) for p in self.probes))
         fams = self.families
         if fams is not None:
-            fams = tuple(str(x) for x in fams)
+            if not fams:
+                raise ConfigError("families must name at least one family")
             unknown = [x for x in fams if x not in FAMILY_ORDER]
             if unknown:
                 raise ConfigError(f"unknown relation families: {unknown}")
             if "almost_inner" in fams and not self.probes:
                 raise ConfigError("almost_inner requires at least one probe")
-            object.__setattr__(self, "families", fams)
         if self.space is not None:
-            space = self.space_object()
+            try:
+                space = self.space_object()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc)) from exc
             if space.dim != 2 * self.modes:
                 raise ConfigError("space dimension does not match mode count")
             # the Fock representation realizes only the standard form
@@ -545,19 +594,8 @@ class Config:
         return tuple(fams)
 
     def to_dict(self) -> dict:
-        out = {"schema_version": 1}
-        for info in fields(self):
-            value = getattr(self, info.name)
-            if info.name == "lambdas":
-                value = [_scalar_param(z) for z in value]
-            elif info.name in ("truncations", "scales", "probes"):
-                value = list(value)
-            elif info.name == "vectors":
-                value = [list(v) for v in value]
-            elif info.name == "families" and value is not None:
-                value = list(value)
-            out[info.name] = value
-        return out
+        out = {info.name: _json_value(getattr(self, info.name)) for info in fields(self)}
+        return {"schema_version": 1, **out}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
@@ -565,24 +603,10 @@ class Config:
         version = data.pop("schema_version", 1)
         if version != 1:
             raise ConfigError(f"unsupported config schema version {version}")
-        known = {info.name for info in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(_READERS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, value in data.items():
-            if key == "lambdas" and value is not None:
-                value = tuple(
-                    complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z)
-                    for z in value
-                )
-            kwargs[key] = value
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
+        return cls(**data)
 
     @classmethod
     def from_json(cls, text: str) -> "Config":
@@ -593,9 +617,6 @@ class Config:
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
         return cls.from_dict(data)
-
-    def to_json(self, pretty: bool = False) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2 if pretty else None)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,21 @@ def test_verify_nonstandard_space_exits_2(capsys, tmp_path):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("seed", 1.5, "bad seed"), ("families", [], "at least one family")],
+)
+def test_verify_rejected_config_value_exits_2(capsys, tmp_path, key, value, message):
+    config = {"schema_version": 1, "truncations": [8, 12], "compression": 4, key: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert message in err
+
+
 def test_verify_memory_cap_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--trunc", "64,8192")
     assert code == 2
@@ -335,6 +350,33 @@ def test_cohomology_non_finite_gauge_value_exits_2(capsys, tmp_path, bad):
     assert out == ""
     assert err.startswith("config error: bad gauge file: ")
     assert "not finite" in err
+
+
+def test_cohomology_gauge_of_non_objects_exits_2(capsys, tmp_path):
+    path = tmp_path / "gauge.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(
+        capsys, "cohomology", "--trunc", "16", "--gauge", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: bad gauge file: ")
+
+
+def test_cohomology_non_integer_gauge_point_exits_2(capsys, tmp_path):
+    # the full box [-1, 1]^2, with (1, 0) written as [1.5, 0]
+    entries = json.loads(cohomology.gauge_to_json(cohomology.zero_gauge(2, 1)))
+    entry = next(e for e in entries if e["f"] == [1, 0])
+    entry["f"] = [1.5, 0]
+    path = tmp_path / "gauge.json"
+    path.write_text(json.dumps(entries))
+    code, out, err = run_cli(
+        capsys, "cohomology", "--trunc", "16", "--gauge", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: bad gauge file: ")
+    assert "[1.5, 0]" in err
 
 
 def test_cohomology_unreadable_gauge_exits_2(capsys, tmp_path):

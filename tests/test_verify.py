@@ -1,6 +1,8 @@
 """Tests for the residual-certification suite."""
 
+import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -375,6 +377,15 @@ def test_config_probe_enables_family():
         {"space": {"n": 2}},
         {"space": {"form": [[0.0, 2.0], [-2.0, 0.0]]}},
         {"space": {"form": [[0.0, 0.0], [0.0, 0.0]]}},
+        # each field's reader: integers are integral and not bools, lists
+        # are lists, and a spectral parameter is a number or [re, im]
+        {"modes": 1.7},
+        {"seed": 1.5},
+        {"truncations": (8.9, 12)},
+        {"compression": True},
+        {"probes": "Q1"},
+        {"lambdas": ((1, 2, 3),)},
+        {"families": ()},
     ],
 )
 def test_config_rejects(kwargs):
@@ -389,8 +400,30 @@ def test_config_json_round_trip():
         probes=("Q1",),
         lambdas=(1.0, 1.0 + 2.0j),
     )
-    back = verify.Config.from_json(cfg.to_json(pretty=True))
+    back = verify.Config.from_json(json.dumps(cfg.to_dict(), indent=2))
     assert back == cfg
+
+
+def test_config_fields_read_alike_on_every_path():
+    # one reader per field, whether the value comes from Config(...), from
+    # a JSON object or from a dataclasses.replace override
+    assert list(verify._READERS) == [info.name for info in fields(verify.Config)]
+    direct = verify.Config(
+        truncations=[8.0, 12], compression=4.0, seed=3, lambdas=[[1.0, 2.0], 1]
+    )
+    loaded = verify.Config.from_dict(
+        {"truncations": [8, 12], "compression": 4, "seed": 3.0, "lambdas": [[1, 2], 1.0]}
+    )
+    # as the command line passes --trunc
+    replaced = replace(
+        verify.Config(), truncations="8,12".split(","), compression=4, seed=3,
+        lambdas=(1 + 2j, 1.0),
+    )
+    assert direct == loaded == replaced
+    assert direct.truncations == (8, 12) and type(direct.truncations[0]) is int
+    assert type(direct.compression) is int and type(loaded.seed) is int
+    assert direct.lambdas == (1 + 2j, 1 + 0j)
+    assert direct.to_dict()["lambdas"] == [[1.0, 2.0], 1.0]
 
 
 def test_config_from_dict_rejects_unknown_keys():
