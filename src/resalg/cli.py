@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from functools import cache, partial
 
-from resalg import cohomology, fock, symplectic, verify
+from resalg import cohomology, fock, verify
 from resalg.expr import DomainError, ParseError, check_dimension, parse, simplify
 
 
@@ -136,25 +136,25 @@ def cmd_schur(args) -> int:
         "compression": config.compression,
         "seed": config.seed,
     }
+    solvers = verify.SolverCache(rep)
     # a malformed vector (ConfigError), ParseError, DomainError and a vector
     # or letter of the wrong dimension are all ValueErrors
     try:
         if args.pair:
             left, right = args.pair.split(";")
             f, g = _parse_vector(left), _parse_vector(right)
-            k = fock.pairing_operator(fock.generator(rep, f), fock.generator(rep, g))
-            target = symplectic.pair(rep.space, f, g)
-            payload.update(mode="commutator", pairing=target)
+            report, target, gap, ok = verify.pairing_probe(
+                solvers, rep.space, f, g, config.compression, config.seed
+            )
+            payload.update(mode="commutator", pairing=target, pairing_gap=gap)
         else:
             expr = parse(args.expression)
             check_dimension(expr, rep.space.dim)
             # applied only to the probe columns, by solves
-            k = partial(fock.apply_expr, expr, solver=verify.SolverCache(rep).solver)
-            target = None
+            k = partial(fock.apply_expr, expr, solver=solvers.solver)
+            report = fock.schur_constant(rep, k, cutoff=config.compression, seed=config.seed)
+            ok = report.is_scalar
             payload.update(mode="expression", expression=str(expr))
-        report = fock.schur_constant(
-            rep, k, cutoff=config.compression, seed=config.seed
-        )
     except ValueError as exc:
         _eprint(f"error: {exc}")
         return 2
@@ -166,11 +166,6 @@ def cmd_schur(args) -> int:
             "is_scalar": report.is_scalar,
         }
     )
-    ok = report.is_scalar
-    if target is not None:
-        gap = abs(report.mean - target)
-        payload["pairing_gap"] = gap
-        ok = ok and gap <= verify.SIGMA_CROSS_TOL
     _emit(args, payload)
     return 0 if ok else 1
 
@@ -217,11 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trunc", help="comma-separated truncation levels")
-        p.add_argument("--compress", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
         output(p)
+
+    def probed(p):  # the seed and the cutoff of the Schur probes
+        common(p)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--compress", type=int, default=None)
 
     p = sub.add_parser("simplify", help="canonicalize an expression")
     p.add_argument("expression")
@@ -229,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("verify", help="run the relation suite")
-    common(p)
+    probed(p)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cohomology", help="run the correction pipeline")
@@ -239,20 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="inject a fault into the pair table (self-test of failure path)",
     )
-    common(p)
+    probed(p)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("schur", help="extract a scalar from an operator")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("expression", nargs="?", help="expression to probe")
     group.add_argument("--pair", help='two vectors "f1,f2;g1,g2" for a commutator')
-    common(p)
+    probed(p)
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("eval", help="evaluate an expression to a matrix")
     p.add_argument("expression")
     common(p)
-    p.set_defaults(func=cmd_eval)
+    # eval reads no compression cutoff, and 1 fits every truncation
+    p.set_defaults(func=cmd_eval, compress=1)
 
     return parser
 

@@ -39,6 +39,8 @@ SWEEP_TOL = 1e-9
 ZETA_TOL = 1e-10
 IMPROVE_TOL = 1e-10
 RECONSTRUCT_TOL = 1e-9
+# the Schur-probe tolerance of a scaling defect's Rayleigh quotients
+ZETA_PROBE_TOL = 1e-9
 
 _INT_EPS = 1e-9
 _RAY_KEY_DIGITS = 12
@@ -192,30 +194,27 @@ def quadratic_gauge(dim: int, box: int = DEFAULT_BOX) -> GaugeFunction:
     return GaugeFunction(dim, box, squares)
 
 
-def random_gauge(
-    dim: int, box: int = DEFAULT_BOX, seed: int = 0, scale: float = 1.0
-) -> GaugeFunction:
-    """Uniform values in [-scale, scale], drawn in lattice order skipping the
-    origin."""
+def random_gauge(dim: int, box: int = DEFAULT_BOX, seed: int = 0) -> GaugeFunction:
+    """Uniform values in [-1, 1], drawn in lattice order skipping the origin."""
     side = (2 * box + 1) ** dim
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, side - 1)
-    return GaugeFunction(dim, box, np.insert(scale * draws, side // 2, 0.0))
+    return GaugeFunction(dim, box, np.insert(draws, side // 2, 0.0))
 
 
-def gauge_to_json(gauge: GaugeFunction, pretty: bool = False) -> str:
+def gauge_to_json(gauge: GaugeFunction) -> str:
     points = lattice_points(gauge.dim, gauge.box)
     defined = np.flatnonzero(~np.isnan(gauge.values))
     entries = [
         {"f": list(points[i]), "c": c}
         for i, c in zip(defined.tolist(), gauge.values[defined].tolist())
     ]
-    return json.dumps(entries, indent=2 if pretty else None, sort_keys=True)
+    return json.dumps(entries, sort_keys=True)
 
 
 def gauge_from_json(text: str) -> GaugeFunction:
     """Reads a list of {"f": point, "c": value}; the box is the largest
     coordinate, at least 1.  Raises ValueError for an entry of another form,
-    a point that is not an integer point, or a value that is not finite."""
+    a point that is not a list of integers, or a value that is not finite."""
     entries = json.loads(text)
     if not isinstance(entries, list) or not entries:
         raise ValueError("gauge file must be a nonempty JSON list")
@@ -224,6 +223,9 @@ def gauge_from_json(text: str) -> GaugeFunction:
         values = np.array([float(entry["c"]) for entry in entries])
     except (TypeError, KeyError) as exc:
         raise ValueError(f'entries must be {{"f": point, "c": value}}: {exc}') from exc
+    for entry in entries:  # a string or an object also iterates
+        if not isinstance(entry["f"], list):
+            raise ValueError(f"gauge point {entry['f']!r} is not a JSON list")
     dim = len(points[0])
     if any(len(p) != dim for p in points):
         raise ValueError("inconsistent vector lengths in gauge file")
@@ -301,9 +303,9 @@ def corrected_family(
 # scalar probing
 
 
-def _probe_scalar(rep: fock.FockRep, k: np.ndarray, cutoff: int, tol: float, seed: int):
-    report = fock.schur_constant(rep, k, cutoff=cutoff, tol=tol, seed=seed)
-    if not report.is_scalar or abs(report.mean.imag) > tol:
+def _probe_scalar(rep: fock.FockRep, k: np.ndarray, cutoff: int, seed: int):
+    report = fock.schur_constant(rep, k, cutoff=cutoff, seed=seed)
+    if not report.is_scalar or abs(report.mean.imag) > fock.SCHUR_TOL:
         raise NotScalarError(
             f"operator is not a real multiple of the identity "
             f"(mean {report.mean}, max deviation {report.max_deviation:.3e})"
@@ -364,11 +366,7 @@ def _probe_rows(rows: np.ndarray, weights: np.ndarray, tol: float, name) -> np.n
 
 
 def build_cocycle(
-    rep: fock.FockRep,
-    gauge: GaugeFunction,
-    cutoff: int = DEFAULT_CUTOFF,
-    tol: float = 1e-8,
-    seed: int = 0,
+    rep: fock.FockRep, gauge: GaugeFunction, cutoff: int = DEFAULT_CUTOFF, seed: int = 0
 ) -> Cocycle:
     """Extracts xi over every valid ordered lattice pair.
 
@@ -389,13 +387,13 @@ def build_cocycle(
     for i, f in enumerate(points):  # one chunk of pairs (f, g >= f) per f
         js = i + np.flatnonzero(add[i, i:] >= 0)
         values[i, js] = values[js, i] = _probe_rows(
-            gens[i] + gens[js] - gens[add[i, js]], weights, tol,
+            gens[i] + gens[js] - gens[add[i, js]], weights, fock.SCHUR_TOL,
             lambda n: f"f={f}, g={points[js[n]]}",
         )
     return Cocycle(dim=gauge.dim, box=gauge.box, values=values)
 
 
-def verify_cocycle(xi: Cocycle, tol: float = COCYCLE_TOL):
+def verify_cocycle(xi: Cocycle):
     """Checks symmetry and the cocycle identity
 
         xi(f,g) + xi(f+g,h) - xi(f,g+h) - xi(g,h) = 0
@@ -424,7 +422,7 @@ def verify_cocycle(xi: Cocycle, tol: float = COCYCLE_TOL):
         if np.any(np.isnan(defect)):
             raise KeyError("cocycle table lacks a pair the identity needs")
         worst = max(worst, float(np.max(np.abs(defect), initial=0.0)))
-    return worst <= tol, worst
+    return worst <= COCYCLE_TOL, worst
 
 
 @dataclass(frozen=True)
@@ -457,7 +455,7 @@ def _solve_sweep(xi: Cocycle, pivot_low: bool) -> np.ndarray:
     return gamma
 
 
-def solve_coboundary(xi: Cocycle, tol: float = SWEEP_TOL) -> Coboundary:
+def solve_coboundary(xi: Cocycle) -> Coboundary:
     """Integrates xi to a potential, normalized to vanish at the origin and
     at each positive basis direction.
 
@@ -471,7 +469,7 @@ def solve_coboundary(xi: Cocycle, tol: float = SWEEP_TOL) -> Coboundary:
     if np.any(np.isnan(gaps)):
         raise KeyError("cocycle table lacks a pair the sweeps need")
     worst = float(gaps.max())
-    if worst > tol:
+    if worst > SWEEP_TOL:
         raise PathDependenceError(
             f"sweep orders disagree by {worst:.3e}; input is not a cocycle"
         )
@@ -543,7 +541,6 @@ def extract_zeta(
     axis: int,
     grid=DEFAULT_SCALAR_GRID,
     cutoff: int = DEFAULT_CUTOFF,
-    tol: float = ZETA_TOL,
     seed: int = 0,
 ) -> dict:
     """Samples the scaling defect of one basis ray on a scalar grid.
@@ -552,13 +549,13 @@ def extract_zeta(
     operators of the whole grid are combined from value rows and probed by
     one `_probe_rows` product, so NotScalarError names the axis and the
     first failing scalar.  The grid must contain 0 and 1; the samples must
-    vanish there and be additive over in-grid sums, otherwise the family is
-    inconsistent and this raises.
+    vanish there and be additive over in-grid sums within ZETA_TOL,
+    otherwise the family is inconsistent and this raises.
     """
-    return _zeta_tables(family, (axis,), grid, cutoff, tol, seed)[axis]
+    return _zeta_tables(family, (axis,), grid, cutoff, seed)[axis]
 
 
-def _zeta_tables(family: OperatorFamily, axes, grid, cutoff, tol, seed) -> dict:
+def _zeta_tables(family: OperatorFamily, axes, grid, cutoff, seed) -> dict:
     """`extract_zeta`'s table for each of `axes`, axis by axis, from one
     `_rayleigh_weights` build."""
     grid = [float(c) for c in grid]
@@ -571,17 +568,17 @@ def _zeta_tables(family: OperatorFamily, axes, grid, cutoff, tol, seed) -> dict:
         unit = family.values(e)[seen]
         rows = [family.values(tuple(c * x for x in e))[seen] - c * unit for c in grid]
         zetas = _probe_rows(
-            np.array(rows), weights, max(tol, 1e-9),
+            np.array(rows), weights, ZETA_PROBE_TOL,
             lambda n: f"axis {axis}, c={grid[n]}",
         )
         table = tables[axis] = dict(zip(map(_ray_key, grid), zetas.tolist()))
-        if abs(table[_ray_key(0.0)]) > tol or abs(table[_ray_key(1.0)]) > tol:
+        if abs(table[_ray_key(0.0)]) > ZETA_TOL or abs(table[_ray_key(1.0)]) > ZETA_TOL:
             raise AdditivityError("scaling defect must vanish at 0 and 1")
         keys = sorted(table)
         for a, b in itertools.product(keys, keys):
             target = _ray_key(a + b)
             gap = abs(table[a] + table[b] - table[target]) if target in table else 0.0
-            if gap > tol:
+            if gap > ZETA_TOL:
                 raise AdditivityError(
                     f"scaling samples not additive at {a}+{b} (defect {gap:.3e})"
                 )
@@ -589,20 +586,14 @@ def _zeta_tables(family: OperatorFamily, axes, grid, cutoff, tol, seed) -> dict:
 
 
 def extract_theta(
-    family: OperatorFamily,
-    grid=DEFAULT_SCALAR_GRID,
-    box: int = None,
-    cutoff: int = DEFAULT_CUTOFF,
-    tol: float = ZETA_TOL,
-    seed: int = 0,
+    family: OperatorFamily, cutoff: int = DEFAULT_CUTOFF, seed: int = 0
 ) -> HomogeneityData:
-    """Assembles per-axis scaling tables, extended by the integers of the
-    lattice box so every lattice point has a correction value."""
-    if box is None:
-        box = DEFAULT_BOX
-    dim = family.rep.space.dim
-    full_grid = sorted(set(float(c) for c in grid) | set(map(float, range(-box, box + 1))))
-    zeta = _zeta_tables(family, range(dim), full_grid, cutoff, tol, seed)
+    """Assembles per-axis scaling tables on DEFAULT_SCALAR_GRID, extended by
+    the integers of the family's lattice box so every lattice point has a
+    correction value."""
+    box, dim = family.box, family.rep.space.dim
+    grid = sorted(set(DEFAULT_SCALAR_GRID) | set(map(float, range(-box, box + 1))))
+    zeta = _zeta_tables(family, range(dim), grid, cutoff, seed)
     return HomogeneityData(dim=dim, box=box, zeta=zeta)
 
 
@@ -615,7 +606,6 @@ def improve_family(
     gauge: GaugeFunction,
     gamma: Coboundary,
     homogeneity: HomogeneityData = None,
-    tol: float = IMPROVE_TOL,
 ) -> OperatorFamily:
     """Builds the corrected family and certifies it additive and homogeneous.
 
@@ -634,20 +624,20 @@ def improve_family(
 
     rows, cols, defects = _additivity_defects(shifts, gauge.dim, gauge.box)
     worst = max(0.0, float(np.max(np.abs(defects), initial=0.0)))
-    if worst > tol:
+    if worst > IMPROVE_TOL:
         raise ImprovementError(f"improved family not additive (defect {worst:.3e})")
     step = max(1, len(rows) // _MATRIX_SAMPLES)
     for i, j in zip(rows[::step].tolist(), cols[::step].tolist()):
         f, g = points[i], points[j]
         defect = np.linalg.norm(values(f) + values(g) - values(_add(f, g)))
-        if defect > tol:
+        if defect > IMPROVE_TOL:
             raise ImprovementError(f"matrix additivity defect {defect:.3e} at {f}, {g}")
     for axis in range(gauge.dim):
         e = _basis(gauge.dim, axis)
         unit = values(e)
         for c in (-1.0, 2.0, 0.5, float(gauge.box)):
             defect = np.linalg.norm(values(tuple(c * x for x in e)) - c * unit)
-            if defect > tol:
+            if defect > IMPROVE_TOL:
                 raise ImprovementError(
                     f"matrix homogeneity defect {defect:.3e} at axis {axis}, c={c}"
                 )
@@ -660,7 +650,6 @@ def recover_shift(
     resolvent_b: np.ndarray,
     lam,
     cutoff: int = DEFAULT_CUTOFF,
-    tol: float = 1e-8,
     seed: int = 0,
 ) -> float:
     """Reads off the constant separating two admissible families at (lam, f).
@@ -674,7 +663,7 @@ def recover_shift(
     eye = np.eye(rep.dim, dtype=complex)
     gen_a = np.linalg.solve(resolvent_a, eye) - 1j * lam * eye
     gen_b = np.linalg.solve(resolvent_b, eye) - 1j * lam * eye
-    shift = _probe_scalar(rep, gen_b - gen_a, cutoff, tol, seed)
+    shift = _probe_scalar(rep, gen_b - gen_a, cutoff, seed)
     resynth = np.linalg.solve((1j * lam + shift) * eye + gen_a, eye)
     gap = float(np.linalg.norm(resynth - resolvent_b, 2))
     if gap > RECONSTRUCT_TOL:
@@ -758,7 +747,7 @@ def run_pipeline(
 
     corrected = corrected_family(rep, gauge, gamma)
     try:
-        homogeneity = extract_theta(corrected, box=gauge.box, cutoff=cutoff, seed=seed)
+        homogeneity = extract_theta(corrected, cutoff=cutoff, seed=seed)
     except (AdditivityError, NotScalarError) as exc:
         stages["homogeneity"] = {"ok": False, "error": str(exc)}
         return report

@@ -41,6 +41,11 @@ DEFAULT_MAX_DIM = 4096
 # rejected as numerically broken
 PROBE_RESIDUAL_TOL = 1e-10
 
+# the Schur test: the largest deviation of a Rayleigh quotient from their mean
+# in a multiple of 1, and the number of seeded random probes
+SCHUR_TOL = 1e-8
+RANDOM_PROBES = 10
+
 _MAGIC = b"RAMX"
 _DTYPE_TAG = b"c16\x00"
 
@@ -368,36 +373,26 @@ class SchurReport:
     mean: complex
     max_deviation: float
     probes_used: int
-    tolerance: float
     is_scalar: bool
-    seed: int
 
 
-def probe_block(
-    rep: FockRep, cutoff: int, seed: int = 0, random_probes: int = 10
-) -> np.ndarray:
+def probe_block(rep: FockRep, cutoff: int, seed: int = 0) -> np.ndarray:
     """Probe columns of the Schur test: the basis states below the cutoff,
-    then `random_probes` seeded random unit vectors supported on them."""
+    then RANDOM_PROBES seeded random unit vectors supported on them."""
     idx = box_indices(rep, cutoff)
-    probes = np.zeros((rep.dim, len(idx) + random_probes), dtype=complex)
+    probes = np.zeros((rep.dim, len(idx) + RANDOM_PROBES), dtype=complex)
     probes[idx, np.arange(len(idx))] = 1.0
     rng = np.random.default_rng(seed)
-    for j in range(random_probes):
+    for j in range(RANDOM_PROBES):
         phi = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
         probes[idx, len(idx) + j] = phi / np.linalg.norm(phi)
     return probes
 
 
-def schur_constant(
-    rep: FockRep,
-    k: np.ndarray,
-    cutoff: int,
-    tol: float = 1e-8,
-    seed: int = 0,
-    random_probes: int = 10,
-) -> SchurReport:
+def schur_constant(rep: FockRep, k: np.ndarray, cutoff: int, seed: int = 0) -> SchurReport:
     """Rayleigh quotients <phi, K phi>/<phi, phi> over the columns of
-    `probe_block`.  K is a dense or sparse matrix, or a function that
+    `probe_block`; K is scalar when they all lie within SCHUR_TOL of their
+    mean.  K is a dense or sparse matrix, or a function that
     applies K to a block of columns, so K itself need not be formed."""
     from scipy import sparse
 
@@ -407,7 +402,7 @@ def schur_constant(
         if k.shape != (rep.dim, rep.dim):
             raise ValueError(f"matrix shape {k.shape} does not match dim {rep.dim}")
         k = k.__matmul__  # one product for every probe column
-    probes = probe_block(rep, cutoff, seed, random_probes)
+    probes = probe_block(rep, cutoff, seed)
     n_probes = probes.shape[1]
     applied = k(probes)
     values = np.einsum("ij,ij->j", probes.conj(), applied)
@@ -418,9 +413,7 @@ def schur_constant(
         mean=mean,
         max_deviation=max_dev,
         probes_used=n_probes,
-        tolerance=tol,
-        is_scalar=max_dev <= tol,
-        seed=seed,
+        is_scalar=max_dev <= SCHUR_TOL,
     )
 
 

@@ -93,9 +93,9 @@ def pair(space: SymplecticSpace, f, g) -> float:
     return float(fv @ space.form @ gv)
 
 
-def is_nondegenerate(space: SymplecticSpace, rtol: float = RANK_RTOL) -> bool:
+def is_nondegenerate(space: SymplecticSpace) -> bool:
     """Full-rank test via singular values, relative to the largest one."""
     sv = np.linalg.svd(space.form, compute_uv=False)
     if sv[0] == 0.0:
         return False
-    return bool(sv[-1] > rtol * sv[0])
+    return bool(sv[-1] > RANK_RTOL * sv[0])

@@ -263,7 +263,7 @@ def _check(relation, reps, params, m, tol, exact, residual) -> RelationCheck:
 # individual checks
 
 
-def check_pseudo_resolvent(reps, f, lam, mu, m, tol=EXACT_TOL):
+def check_pseudo_resolvent(reps, f, lam, mu, m):
     """R(lam,f) - R(mu,f) = i(mu-lam) R(lam,f) R(mu,f), exact in matrix algebra."""
     if complex(lam) == complex(mu):
         raise ValueError("pseudo-resolvent check needs two distinct parameters")
@@ -275,10 +275,10 @@ def check_pseudo_resolvent(reps, f, lam, mu, m, tol=EXACT_TOL):
         block -= 1j * (complex(mu) - complex(lam)) * a.apply(b.apply(sel))
         return block[idx]
 
-    return _check("pseudo", reps, _params(f, lam=lam, mu=mu), m, tol, True, residual)
+    return _check("pseudo", reps, _params(f, lam=lam, mu=mu), m, EXACT_TOL, True, residual)
 
 
-def check_adjoint_symmetry(reps, f, lam, m, tol=EXACT_TOL):
+def check_adjoint_symmetry(reps, f, lam, m):
     """R(lam,f)* = R(-conj(lam),f), exact in matrix algebra."""
 
     def residual(cache, idx, sel):
@@ -286,10 +286,10 @@ def check_adjoint_symmetry(reps, f, lam, m, tol=EXACT_TOL):
         right = cache.solver(-complex(lam).conjugate(), f).apply(sel)[idx]
         return left - right
 
-    return _check("adjoint", reps, _params(f, lam=lam), m, tol, True, residual)
+    return _check("adjoint", reps, _params(f, lam=lam), m, EXACT_TOL, True, residual)
 
 
-def check_zero_vector(reps, lam, m, tol=EXACT_TOL):
+def check_zero_vector(reps, lam, m):
     """R(lam,0) = (1/(i lam))*1, exact in matrix algebra."""
 
     def residual(cache, idx, sel):
@@ -298,7 +298,7 @@ def check_zero_vector(reps, lam, m, tol=EXACT_TOL):
         block -= (1.0 / (1j * complex(lam))) * np.eye(len(idx))
         return block
 
-    return _check("zero_vector", reps, _params(lam=lam), m, tol, True, residual)
+    return _check("zero_vector", reps, _params(lam=lam), m, EXACT_TOL, True, residual)
 
 
 def check_relation_i(reps, f, g, lam, mu, m, tol=1e-6, space=None):
@@ -342,7 +342,7 @@ def check_relation_ii(reps, f, g, lam, mu, m, tol=1e-6, space=None):
     return _check("rel_ii", caches, params, m, tol, False, residual)
 
 
-def check_relation_iii(reps, f, lam, c, tol=EXACT_TOL):
+def check_relation_iii(reps, f, lam, c):
     """c R(c lam, c f) = R(lam, f), exact in matrix algebra; full-norm check.
 
     The spectral norm of the difference is estimated by `_spectral_norm`
@@ -362,7 +362,7 @@ def check_relation_iii(reps, f, lam, c, tol=EXACT_TOL):
             cache.rep.dim,
         )
 
-    return _check("rel_iii", reps, _params(f, lam=lam, c=c), None, tol, True, residual)
+    return _check("rel_iii", reps, _params(f, lam=lam, c=c), None, EXACT_TOL, True, residual)
 
 
 def check_relation_iv(reps, f, g, mu, m, tol=1e-6, space=None):
@@ -567,8 +567,9 @@ class Config:
             unknown = [x for x in fams if x not in FAMILY_ORDER]
             if unknown:
                 raise ConfigError(f"unknown relation families: {unknown}")
-            if "almost_inner" in fams and not self.probes:
-                raise ConfigError("almost_inner requires at least one probe")
+            empty = [rel for rel, _, _, grid in _suite_table(self) if rel in fams and not grid]
+            if empty:
+                raise ConfigError(f"families {empty} have no grid points to check")
         if self.space is not None:
             try:
                 space = self.space_object()
@@ -762,14 +763,22 @@ def _sigma_cross_validation(cache, space, vectors, m, seed) -> tuple:
     (inf, reason) at the first pair where they disagree."""
     worst = 0.0
     for f, g in _distinct_pairs(vectors):
-        k = fock.pairing_operator(cache.generator(f), cache.generator(g))
-        report = fock.schur_constant(cache.rep, k, cutoff=m, seed=seed)
-        target = symplectic.pair(space, f, g)
-        gap = abs(report.mean - target)
-        if not report.is_scalar or gap > SIGMA_CROSS_TOL:
+        report, target, gap, ok = pairing_probe(cache, space, f, g, m, seed)
+        if not ok:
             return math.inf, (
                 f"commutator scalar {report.mean} disagrees with the pairing "
                 f"{target} for f={f}, g={g} (gap {gap:.3e})"
             )
         worst = max(worst, gap)
     return worst, None
+
+
+def pairing_probe(cache: SolverCache, space, f, g, m: int, seed: int) -> tuple:
+    """Schur-probes K = -i[G_f, G_g] below the cutoff m against sigma(f, g).
+    Returns (report, sigma(f, g), gap, ok), ok when K is scalar and the gap
+    is at most SIGMA_CROSS_TOL."""
+    k = fock.pairing_operator(cache.generator(f), cache.generator(g))
+    report = fock.schur_constant(cache.rep, k, cutoff=m, seed=seed)
+    target = symplectic.pair(space, f, g)
+    gap = abs(report.mean - target)
+    return report, target, gap, report.is_scalar and gap <= SIGMA_CROSS_TOL

@@ -161,6 +161,9 @@ def test_rewriter_soundness_on_seeded_expressions():
 
 
 def test_gauge_correction_round_trip():
+    # the stages read these tolerances; they are the contract
+    assert (coh.COCYCLE_TOL, coh.SWEEP_TOL, coh.IMPROVE_TOL) == (1e-10, 1e-9, 1e-10)
+    assert (fock.SCHUR_TOL, verify.EXACT_TOL) == (1e-8, 1e-9)
     budget = 30.0
     start = time.monotonic()
     rep = fock.build_rep(1, 64)
@@ -170,14 +173,14 @@ def test_gauge_correction_round_trip():
     for seed in range(10):
         gauge = coh.random_gauge(2, 3, seed=seed)
         xi = coh.build_cocycle(rep, gauge)
-        ok, defect = coh.verify_cocycle(xi, tol=1e-10)
+        ok, defect = coh.verify_cocycle(xi)
         assert ok
-        gamma = coh.solve_coboundary(xi, tol=1e-9)
+        gamma = coh.solve_coboundary(xi)
         recon = coh.coboundary_defect(xi, gamma)
         assert gamma.sweep_disagreement <= 1e-9
         assert recon <= 1e-9
         theta = coh.extract_theta(coh.corrected_family(rep, gauge, gamma))
-        improved = coh.improve_family(rep, gauge, gamma, theta, tol=1e-10)
+        improved = coh.improve_family(rep, gauge, gamma, theta)
         r_lam = improved.resolvent(lam, f)
         r_mu = improved.resolvent(mu, f)
         diff = _snorm(r_lam @ r_mu * (1j * (mu - lam)) - (r_lam - r_mu))

@@ -156,6 +156,21 @@ def test_verify_rejected_config_value_exits_2(capsys, tmp_path, key, value, mess
     assert message in err
 
 
+@pytest.mark.parametrize("family, key, value", [
+    ("rel_i", "vectors", [[1, 0]]), ("pseudo", "lambdas", [1.0]),
+])
+def test_verify_named_family_without_checks_exits_2(capsys, tmp_path, family, key, value):
+    # rel_i pairs two distinct vectors and pseudo two spectral parameters
+    config = {"truncations": [8, 12], "compression": 4, "families": [family], key: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert family in err
+
+
 def test_verify_memory_cap_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--trunc", "64,8192")
     assert code == 2
@@ -379,6 +394,21 @@ def test_cohomology_non_integer_gauge_point_exits_2(capsys, tmp_path):
     assert "[1.5, 0]" in err
 
 
+def test_cohomology_gauge_point_of_a_string_exits_2(capsys, tmp_path):
+    # the full box [-1, 1]^2, with (1, 0) written as the string "10"
+    entries = json.loads(cohomology.gauge_to_json(cohomology.zero_gauge(2, 1)))
+    next(e for e in entries if e["f"] == [1, 0])["f"] = "10"
+    path = tmp_path / "gauge.json"
+    path.write_text(json.dumps(entries))
+    code, out, err = run_cli(
+        capsys, "cohomology", "--trunc", "16", "--gauge", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: bad gauge file: ")
+    assert "'10'" in err
+
+
 def test_cohomology_unreadable_gauge_exits_2(capsys, tmp_path):
     path = tmp_path / "gauge.json"
     path.write_text("not json at all")
@@ -466,9 +496,7 @@ def test_eval_binary_round_trip(capsys, tmp_path):
 
 
 def test_eval_json_to_stdout(capsys):
-    code, out, _ = run_cli(
-        capsys, "eval", "R(1,[0,0])", "--trunc", "4", "--compress", "2"
-    )
+    code, out, _ = run_cli(capsys, "eval", "R(1,[0,0])", "--trunc", "4")
     assert code == 0
     payload = json.loads(out)
     matrix = fock.matrix_from_json(payload["matrix"])
@@ -478,8 +506,7 @@ def test_eval_json_to_stdout(capsys):
 def test_eval_json_file(capsys, tmp_path):
     path = tmp_path / "matrix.json"
     code = main(
-        ["eval", "R(1,[1,0])*R(2,[0,1])", "--trunc", "8", "--compress", "4",
-         "--json", "--out", str(path)]
+        ["eval", "R(1,[1,0])*R(2,[0,1])", "--trunc", "8", "--json", "--out", str(path)]
     )
     capsys.readouterr()
     assert code == 0
@@ -498,9 +525,7 @@ def test_eval_parse_error_exits_2(capsys):
 
 
 def test_eval_letter_of_wrong_dimension_exits_2(capsys):
-    code, out, err = run_cli(
-        capsys, "eval", "--trunc", "8", "--compress", "2", "R(1,[1,0,0,0])"
-    )
+    code, out, err = run_cli(capsys, "eval", "--trunc", "8", "R(1,[1,0,0,0])")
     assert code == 2
     assert out == ""
     assert err == "error: letter has dimension 4, space has 2\n"
@@ -508,14 +533,36 @@ def test_eval_letter_of_wrong_dimension_exits_2(capsys):
 
 def test_eval_options_do_not_leak_between_calls(capsys):
     # the parser is built once per process; each call starts from its defaults
-    code, out, _ = run_cli(
-        capsys, "eval", "--trunc", "8", "--compress", "2", "--json", "I"
-    )
+    code, out, _ = run_cli(capsys, "eval", "--trunc", "8", "--json", "I")
     assert code == 0
     assert json.loads(out)["truncation"] == 8
     code, out, _ = run_cli(capsys, "eval", "--json", "I")
     assert code == 0
     assert json.loads(out)["truncation"] == 64
+
+
+def test_eval_below_the_default_compression(capsys):
+    # eval reads no compression cutoff, so a truncation below the default
+    # cutoff of 6 is fine; a malformed ladder still is not
+    code, out, err = run_cli(capsys, "eval", "R(1,[0,0])", "--trunc", "4", "--json")
+    assert code == 0, err
+    assert json.loads(out)["truncation"] == 4
+    for trunc in ("4,3", "1", "x"):
+        code, out, err = run_cli(capsys, "eval", "I", "--trunc", trunc)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--tol"), ("eval", "--seed"), ("eval", "--compress"),
+    ("cohomology", "--tol"), ("schur", "--tol"),
+])
+def test_subcommands_reject_flags_they_do_not_read(capsys, command, flag):
+    operand = () if command == "cohomology" else ("I",)
+    code, out, err = run_cli(capsys, command, *operand, flag, "1")
+    assert code == 2
+    assert out == ""
+    assert flag in err
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,12 @@ def dense(family, f):
     return fock.pattern_matrix(family.rep, family.values(f)).toarray()
 
 
-def extract_xi(rep, gauge, f, g, cutoff=coh.DEFAULT_CUTOFF, tol=1e-8, seed=0):
+def extract_xi(rep, gauge, f, g, cutoff=coh.DEFAULT_CUTOFF, seed=0):
     """Per-pair oracle for `build_cocycle`: the additivity defect of the
     gauged family at (f, g), probed on a dense matrix by `fock.schur_constant`."""
     family = coh.family_from_gauge(rep, gauge)
     k = dense(family, f) + dense(family, g) - dense(family, _add(f, g))
-    return coh._probe_scalar(rep, k, cutoff, tol, seed)
+    return coh._probe_scalar(rep, k, cutoff, seed)
 
 
 def closed_form_xi(gauge, f, g):
@@ -199,7 +199,7 @@ def test_gauge_validation():
 
 def test_gauge_json_round_trip():
     gauge = coh.random_gauge(2, 2, seed=3)
-    text = coh.gauge_to_json(gauge, pretty=True)
+    text = coh.gauge_to_json(gauge)
     back = coh.gauge_from_json(text)
     assert np.array_equal(back.values, gauge.values)
     assert back.dim == 2 and back.box == 2
@@ -485,7 +485,7 @@ class RayInjected(coh.OperatorFamily):
         return super().shift(f)
 
 
-def loop_extract_zeta(family, axis, grid, cutoff, tol=coh.ZETA_TOL, seed=0):
+def loop_extract_zeta(family, axis, grid, cutoff, seed=0):
     """Reference for extract_zeta's table: one dense operator and one Schur
     probe per scalar."""
     e = tuple(1 if i == axis else 0 for i in range(family.rep.space.dim))
@@ -493,10 +493,9 @@ def loop_extract_zeta(family, axis, grid, cutoff, tol=coh.ZETA_TOL, seed=0):
     table = {}
     for c in grid:
         k = dense(family, tuple(c * x for x in e)) - c * unit
-        report = fock.schur_constant(
-            family.rep, k, cutoff=cutoff, tol=max(tol, 1e-9), seed=seed
-        )
-        assert report.is_scalar and abs(report.mean.imag) <= max(tol, 1e-9)
+        report = fock.schur_constant(family.rep, k, cutoff=cutoff, seed=seed)
+        bound = coh.ZETA_PROBE_TOL
+        assert report.max_deviation <= bound and abs(report.mean.imag) <= bound
         table[coh._ray_key(c)] = report.mean.real
     return table
 
@@ -563,7 +562,7 @@ def test_batched_zeta_matches_per_scalar_loop(modes, levels, box, cutoff, monkey
         fock, "probe_block", lambda *a, **kw: built.append(a) or plain(*a, **kw)
     )
     built.clear()
-    theta = coh.extract_theta(corrected, grid, box=box, cutoff=cutoff)
+    theta = coh.extract_theta(corrected, cutoff=cutoff)  # on `grid`
     assert len(built) == 1  # one probe block for every axis
     for axis in range(2 * modes):
         built.clear()
@@ -597,7 +596,7 @@ def test_zeta_names_axis_and_scalar_of_non_scalar_probe(rep, random_setup, monke
 def test_theta_assembly(rep, random_setup):
     gauge, _, gamma = random_setup
     fam = coh.corrected_family(rep, gauge, gamma)
-    data = coh.extract_theta(fam, box=3)
+    data = coh.extract_theta(fam)  # the box of random_setup's gauge, 3
     # integer coordinates are always covered, and the corrected family is
     # homogeneous already, so the assembled correction vanishes
     assert data.theta((3, -2)) == pytest.approx(0.0, abs=1e-9)

@@ -386,7 +386,7 @@ def test_evaluate_equals_reference_loop(modes, levels):
 @pytest.mark.parametrize("modes, levels, cutoff", [(1, 24, 6), (2, 6, 3)])
 def test_apply_expr_matches_evaluated_matrix(modes, levels, cutoff):
     rep = fock.build_rep(modes, levels)
-    block = fock.probe_block(rep, cutoff, seed=5, random_probes=3)
+    block = fock.probe_block(rep, cutoff, seed=5)
     block[:, -1] = np.random.default_rng(9).standard_normal(rep.dim)  # a full column
     solver = verify.SolverCache(rep).solver
     for e in _expressions(modes):

@@ -1,12 +1,16 @@
 """Tests for the residual-certification suite."""
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import resalg
 from resalg import fock, symplectic, verify
 from resalg.expr import DomainError, resolvent
 
@@ -386,11 +390,55 @@ def test_config_probe_enables_family():
         {"probes": "Q1"},
         {"lambdas": ((1, 2, 3),)},
         {"families": ()},
+        # a named family with an empty grid: the pair families need two
+        # distinct vectors, pseudo two spectral parameters
+        {"families": ("rel_i",), "vectors": ((1.0, 0.0),)},
+        {"families": ("pseudo",), "lambdas": (1.0,)},
     ],
 )
 def test_config_rejects(kwargs):
     with pytest.raises(verify.ConfigError):
         verify.Config(**kwargs)
+
+
+def test_config_names_the_family_with_an_empty_grid():
+    with pytest.raises(verify.ConfigError, match="rel_iv"):
+        verify.Config(families=("pseudo", "rel_iv"), vectors=((1.0, 0.0), (1.0, 0.0)))
+    # with families null, the families that do not apply are skipped
+    verify.Config(vectors=((1.0, 0.0),), lambdas=(1.0,))
+
+
+def _public_functions(module):
+    """(name, function) for the module's public functions and the public
+    methods of its public classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if not inspect.isclass(obj):
+            if callable(obj):
+                yield name, obj
+            continue
+        for attr in vars(obj):
+            method = getattr(obj, attr)
+            if not attr.startswith("_") and (inspect.isfunction(method) or inspect.ismethod(method)):
+                yield f"{name}.{attr}", method
+
+
+def test_only_the_configured_checks_take_a_tolerance():
+    # every other verdict reads its module's constant, so no caller can
+    # loosen it; the configured checks read Config.tolerance
+    configured = {"check_relation_i", "check_relation_ii", "check_relation_iv",
+                  "check_almost_inner"}
+    found = []
+    for info in pkgutil.iter_modules(resalg.__path__):
+        module = importlib.import_module(f"resalg.{info.name}")
+        for name, fn in _public_functions(module):
+            params = set(inspect.signature(fn).parameters)
+            if name not in configured and params & {"tol", "rtol", "random_probes"}:
+                found.append(f"{module.__name__}.{name}")
+    assert found == []
+    # the walk sees the four configured checks and their tolerance
+    assert all("tol" in inspect.signature(getattr(verify, n)).parameters for n in configured)
 
 
 def test_config_json_round_trip():
