@@ -17,15 +17,19 @@ weighted sum of value rows.  A resolvent (`ResolventSolver`) applies
 (iz + G_f)^-1 to blocks of columns without forming it: with one mode by the
 LAPACK tridiagonal LU (?gttrf/?gttrs) of iz + G_f, with two or more by the
 eigenbasis of one mode's truncated Q (`FockRep.basis`).  Dense matrices are
-formed only on request: full resolvents and evaluated expressions.  scipy is
-imported on first use, so importing this module does not load it.
+formed only on request: full resolvents and evaluated expressions.  No scipy
+package is imported: LAPACK comes from scipy's extension module (`lapack`).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -81,21 +85,55 @@ class FockRep:
         """(U, x) with Q = U diag(x) U^T for one mode's truncated Q, which
         every mode shares; built on first access, read-only.  Q is real
         symmetric tridiagonal, so U is real orthogonal, and x are the
-        Gauss-Hermite nodes in ascending order (Golub & Welsch 1969)."""
-        from scipy.linalg import eigh_tridiagonal
-
+        Gauss-Hermite nodes in ascending order (Golub & Welsch 1969).  The
+        ?stevd call is the one `scipy.linalg.eigh_tridiagonal` makes."""
         offdiag = np.sqrt(np.arange(1, self.levels) / 2.0)
-        x, u = eigh_tridiagonal(np.zeros(self.levels), offdiag)
+        x, u, info = lapack("dstevd")(np.zeros(self.levels), offdiag, compute_v=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"?stevd failed with info {info}")
         for arr in (u, x):
             arr.setflags(write=False)
         return u, x
 
+    @cached_property
+    def stencil(self) -> tuple:
+        """(cols, pos), each (width, dim): row n of the pattern holds the
+        values pos[:, n] in columns cols[:, n], ascending; a short row is
+        padded with position nnz, a zero.  Built on first access, read-only."""
+        col = np.repeat(np.arange(self.dim), np.diff(self.indptr))
+        order = np.lexsort((col, self.indices))  # row by row, columns ascending
+        row = self.indices[order]
+        slot = np.arange(len(row)) - np.searchsorted(row, row)
+        cols = np.zeros((slot.max() + 1, self.dim), dtype=np.intp)
+        pos = np.full(cols.shape, len(row))
+        cols[slot, row], pos[slot, row] = col[order], order
+        for arr in (cols, pos):
+            arr.setflags(write=False)
+        return cols, pos
 
-def pattern_matrix(rep: FockRep, data: np.ndarray):
-    """The CSC matrix with values `data` on the representation's pattern."""
-    from scipy import sparse
 
-    return sparse.csc_matrix((data, rep.indices, rep.indptr), shape=(rep.dim, rep.dim))
+class PatternMatrix:
+    """The matrix with values `data` (changeable in place) on a
+    representation's sparse pattern.  Row n of `m @ x` sums
+    data[pos[t, n]] * x[cols[t, n]] over t (`FockRep.stencil`) in one einsum,
+    which gives the bits of scipy's CSC product; a per-slot multiply-add
+    does not, as numpy's complex multiply may fuse it."""
+
+    def __init__(self, rep: FockRep, data: np.ndarray):
+        self.rep, self.data, self.shape = rep, data, (rep.dim, rep.dim)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        cols, pos = self.rep.stencil
+        return np.einsum("tn,tn...->n...", np.append(self.data, 0)[pos], np.asarray(x)[cols])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        col = np.repeat(np.arange(self.rep.dim), np.diff(self.rep.indptr))
+        out[self.rep.indices, col] = self.data
+        return out
+
+
+pattern_matrix = PatternMatrix  # the matrix with values `data` on rep's pattern
 
 
 def build_rep(n: int, levels: int, max_dim: int = DEFAULT_MAX_DIM) -> FockRep:
@@ -160,18 +198,10 @@ def generator_values(rep: FockRep, f) -> np.ndarray:
     return data
 
 
-def generator(rep: FockRep, f):
+def generator(rep: FockRep, f) -> PatternMatrix:
     """Hermitian field generator G_f = sum_k f_{2k-1} Q_k + f_{2k} P_k, as
-    the CSC matrix of `generator_values` on the representation's pattern."""
+    the `PatternMatrix` of `generator_values`."""
     return pattern_matrix(rep, generator_values(rep, f))
-
-
-def pairing_operator(gf, gg):
-    """K = -i(G_f G_g - (G_f G_g)*), which is -i[G_f, G_g] for Hermitian
-    generators and acts as sigma(f, g) on states below the truncation
-    boundary."""
-    prod = gf @ gg
-    return -1j * (prod - prod.conj().T)
 
 
 def _probes(dim: int) -> np.ndarray:
@@ -296,9 +326,8 @@ class ResolventSolver:
         `solved` was computed from; raises when the solve is broken."""
         err = float(np.linalg.norm(self._matrix_a @ solved - _probes(self.dim)))
         if not err <= PROBE_RESIDUAL_TOL * max(1.0, abs(self.z)):
-            from scipy.sparse.linalg import norm
-
-            cond_bound = (abs(self.z) + norm(self._matrix_a)) / abs(self.z.real)
+            # the Frobenius norm bounds the spectral norm of iz + G_f
+            cond_bound = (abs(self.z) + np.linalg.norm(self._matrix_a.data)) / abs(self.z.real)
             raise RuntimeError(
                 f"resolvent solve failed: probe residual {err:.3e}, "
                 f"condition estimate {cond_bound:.3e}"
@@ -306,11 +335,36 @@ class ResolventSolver:
         return err
 
 
-@cache
-def _gttrf_gttrs():
-    from scipy.linalg import get_lapack_funcs
+def _flapack_file():
+    """Path of scipy's LAPACK extension, found without importing scipy;
+    None when there is none."""
+    spec = importlib.util.find_spec("scipy")
+    paths = [os.path.join(folder, "linalg", "_flapack" + suffix)
+             for folder in (spec and spec.submodule_search_locations) or ()
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    return next((path for path in paths if os.path.isfile(path)), None)
 
-    return get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(1, dtype=complex),))
+
+@cache
+def lapack(name: str):
+    """LAPACK routine `name` ("zgttrf", ...) from scipy's extension module, loaded
+    alone under the name a later `import scipy.linalg` reuses (that package costs
+    about 25 MB); from `get_lapack_funcs` when the file is missing."""
+    path = _flapack_file()
+    if path is None:
+        from scipy.linalg import get_lapack_funcs
+
+        return get_lapack_funcs(name[1:], dtype={"d": np.float64, "z": np.complex128}[name[0]])
+    module = sys.modules.get("scipy.linalg._flapack")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return getattr(module, name)
+
+
+def _gttrf_gttrs():
+    return lapack("zgttrf"), lapack("zgttrs")
 
 
 def _tridiagonal_lu(rep: FockRep, data: np.ndarray) -> tuple:
@@ -392,12 +446,10 @@ def probe_block(rep: FockRep, cutoff: int, seed: int = 0) -> np.ndarray:
 def schur_constant(rep: FockRep, k: np.ndarray, cutoff: int, seed: int = 0) -> SchurReport:
     """Rayleigh quotients <phi, K phi>/<phi, phi> over the columns of
     `probe_block`; K is scalar when they all lie within SCHUR_TOL of their
-    mean.  K is a dense or sparse matrix, or a function that
-    applies K to a block of columns, so K itself need not be formed."""
-    from scipy import sparse
-
+    mean.  K is a dense or sparse matrix (with `toarray`), or a function
+    that applies K to a block of columns, so K itself need not be formed."""
     if not callable(k):
-        if not sparse.issparse(k):  # sparse operators multiply the probes as they are
+        if not hasattr(k, "toarray"):  # sparse operators multiply the probes as they are
             k = np.asarray(k, dtype=complex)
         if k.shape != (rep.dim, rep.dim):
             raise ValueError(f"matrix shape {k.shape} does not match dim {rep.dim}")

@@ -19,7 +19,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields, replace
-from functools import cache, partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def _verdict(residuals, tol: float, exact: bool) -> bool:
 
 
 class SolverCache:
-    """Per-representation memo of factored resolvents and sparse generators."""
+    """Per-representation memo of factored resolvents and generators."""
 
     def __init__(self, rep: fock.FockRep):
         self.rep = rep
@@ -109,8 +109,8 @@ class SolverCache:
             self._solvers[key] = fock.ResolventSolver(self.rep, key[0], key[1])
         return self._solvers[key]
 
-    def generator(self, f):
-        """Sparse (CSC) G_f."""
+    def generator(self, f) -> fock.PatternMatrix:
+        """G_f on the representation's sparse pattern."""
         key = tuple(float(x) for x in f)
         if key not in self._generators:
             self._generators[key] = fock.generator(self.rep, key)
@@ -141,13 +141,6 @@ def _orthogonalize(x: np.ndarray, basis: list) -> np.ndarray:
     return x - np.einsum("kn,k->n", b, np.einsum("kn,n->k", b.conj(), x))
 
 
-@cache
-def _stebz():
-    from scipy.linalg import get_lapack_funcs
-
-    return get_lapack_funcs(("stebz",), (np.zeros(1),))[0]
-
-
 def _top_eigenvalue(e: np.ndarray) -> float:
     """Largest eigenvalue of the symmetric tridiagonal with zero diagonal
     and off-diagonal e, by LAPACK ?stebz bisection: the call that
@@ -157,7 +150,7 @@ def _top_eigenvalue(e: np.ndarray) -> float:
         raise ValueError("array must not contain infs or NaNs")
     n = len(e) + 1
     # range by index (2), il = iu = n, absolute tolerance 0 (LAPACK default)
-    _, w, _, _, info = _stebz()(np.zeros(n), e, 2, 0.0, 1.0, n, n, 0.0, "E")
+    _, w, _, _, info = fock.lapack("dstebz")(np.zeros(n), e, 2, 0.0, 1.0, n, n, 0.0, "E")
     if info != 0:
         raise np.linalg.LinAlgError(f"?stebz failed with info {info}")
     return float(w[0])
@@ -373,7 +366,7 @@ def check_relation_iv(reps, f, g, mu, m, tol=1e-6, space=None):
     def residual(cache, idx, sel):
         b = cache.solver(mu, g)
         gf = cache.generator(f)
-        block = 1j * (gf @ b.apply(sel) - b.apply(gf[:, idx].toarray()))
+        block = 1j * (gf @ b.apply(sel) - b.apply(gf @ sel))
         block -= sig * b.apply(b.apply(sel))
         return block[idx]
 
@@ -381,22 +374,19 @@ def check_relation_iv(reps, f, g, mu, m, tol=1e-6, space=None):
     return _check("rel_iv", caches, params, m, tol, False, residual)
 
 
-def _probe_matrix(rep: fock.FockRep, pattern: str):
-    """Sparse (CSC) monomial in the canonical pair."""
-    from scipy import sparse
-
-    out = sparse.identity(rep.dim, dtype=complex, format="csc")
-    if pattern == "I":
-        return out
-    for token in pattern.split("*"):
+def _probe_monomial(cache: SolverCache, pattern: str):
+    """The function x -> A x for a monomial A in the canonical pair, which
+    applies its factors to x in turn, rightmost first."""
+    factors = []
+    for token in () if pattern == "I" else pattern.split("*"):
         mode = int(token[1:]) - 1
-        if not 0 <= mode < rep.modes:
+        if not 0 <= mode < cache.rep.modes:
             raise ValueError(f"probe {pattern!r} references mode {mode + 1}")
         # the generator along a coordinate direction is Q_k or P_k itself
-        unit = np.zeros(rep.space.dim)
+        unit = np.zeros(cache.rep.space.dim)
         unit[2 * mode if token[0] == "Q" else 2 * mode + 1] = 1.0
-        out = out @ fock.generator(rep, unit)
-    return out
+        factors.append(cache.generator(unit))
+    return lambda x: reduce(lambda y, g: g @ y, reversed(factors), x)
 
 
 def check_almost_inner(reps, f, lam, probe, m, tol=1e-6, space=None):
@@ -425,11 +415,11 @@ def check_almost_inner(reps, f, lam, probe, m, tol=1e-6, space=None):
 
     def residual(cache, idx, sel):
         a = cache.solver(lam, f)
-        if exact:
-            mat = _probe_matrix(cache.rep, probe_id)
-            gf = cache.generator(f)
-            deriv = 1j * (gf @ mat - mat @ gf)
-            apply_probe, apply_deriv = mat.__matmul__, deriv.__matmul__
+        if exact:  # d_f(A) = i[G_f, A], by products with G_f and the factors of A
+            apply_probe, gf = _probe_monomial(cache, probe_id), cache.generator(f)
+
+            def apply_deriv(x):
+                return 1j * (gf @ apply_probe(x) - apply_probe(gf @ x))
         else:  # by solves, with the letters factored in the level's cache
             apply_probe = partial(fock.apply_expr, probe_expr, solver=cache.solver)
             apply_deriv = partial(fock.apply_expr, deriv_expr, solver=cache.solver)
@@ -552,6 +542,9 @@ class Config:
             raise ConfigError("tolerance must be positive")
         if not self.lambdas or any(z.real == 0.0 for z in self.lambdas):
             raise ConfigError("every spectral parameter needs a nonzero real part")
+        repeat = next((z for i, z in enumerate(self.lambdas) if z in self.lambdas[:i]), None)
+        if repeat is not None:  # the pair grids would pair it with itself
+            raise ConfigError(f"spectral parameter {_scalar_param(repeat)} is repeated")
         if any(c == 0.0 for c in self.scales):
             raise ConfigError("scaling parameters must be nonzero")
         if self.vectors is None:
@@ -774,10 +767,15 @@ def _sigma_cross_validation(cache, space, vectors, m, seed) -> tuple:
 
 
 def pairing_probe(cache: SolverCache, space, f, g, m: int, seed: int) -> tuple:
-    """Schur-probes K = -i[G_f, G_g] below the cutoff m against sigma(f, g).
-    Returns (report, sigma(f, g), gap, ok), ok when K is scalar and the gap
-    is at most SIGMA_CROSS_TOL."""
-    k = fock.pairing_operator(cache.generator(f), cache.generator(g))
+    """Schur-probes K = -i[G_f, G_g] below the cutoff m against sigma(f, g);
+    K, which acts as sigma(f, g) below the truncation boundary, is applied
+    as the two generators in turn.  Returns (report, sigma(f, g), gap, ok),
+    ok when K is scalar and the gap is at most SIGMA_CROSS_TOL."""
+    gf, gg = cache.generator(f), cache.generator(g)
+
+    def k(x):
+        return -1j * (gf @ (gg @ x) - gg @ (gf @ x))
+
     report = fock.schur_constant(cache.rep, k, cutoff=m, seed=seed)
     target = symplectic.pair(space, f, g)
     gap = abs(report.mean - target)

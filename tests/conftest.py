@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from resalg import expr
+from resalg import expr, fock
 
 # pools for seeded random expressions: spectral parameters are well separated
 # so pair rewriting never divides by a tiny gap, vectors exercise the zero
@@ -36,3 +36,12 @@ def random_expression(
         coeff = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         terms.append((coeff, word))
     return expr.Expr(tuple(terms))
+
+
+def csc_generator(rep: fock.FockRep, f):
+    """G_f as scipy's CSC matrix on the representation's pattern: the
+    reference for the package's own pattern product."""
+    from scipy import sparse
+
+    values = fock.generator_values(rep, f)
+    return sparse.csc_matrix((values, rep.indices, rep.indptr), shape=(rep.dim, rep.dim))

@@ -13,7 +13,7 @@ import time
 import numpy as np
 from scipy.linalg import block_diag
 
-from conftest import random_expression
+from conftest import csc_generator, random_expression
 from resalg import cohomology as coh
 from resalg import fock, symplectic, verify
 from resalg.expr import parse, simplify
@@ -98,7 +98,7 @@ def test_scalar_extraction_matches_pairing_on_basis():
         for i in range(dim):
             for j in range(dim):
                 f, g = basis[i], basis[j]
-                prod = fock.generator(rep, f) @ fock.generator(rep, g)
+                prod = csc_generator(rep, f) @ csc_generator(rep, g)
                 k = -1j * (prod - prod.conj().T)
                 report = fock.schur_constant(rep, k, cutoff=levels - 2)
                 assert report.is_scalar

@@ -171,6 +171,18 @@ def test_verify_named_family_without_checks_exits_2(capsys, tmp_path, family, ke
     assert family in err
 
 
+def test_verify_repeated_spectral_parameter_exits_2(capsys, tmp_path):
+    # pseudo would pair 1.0 with itself at every vector
+    config = {"families": ["pseudo"], "lambdas": [1.0, 1.0], "truncations": [8, 12],
+              "compression": 4}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "config error: spectral parameter 1.0 is repeated\n"
+
+
 def test_verify_memory_cap_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--trunc", "64,8192")
     assert code == 2
@@ -596,6 +608,41 @@ def test_run_paths_do_not_import_scipy_sparse_linalg(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["0 False"] * len(runs)
+
+
+# runs cli.main in one fresh interpreter and prints, after each run, its
+# exit code and the scipy modules that have been imported
+_SCIPY_MODULES_PROBE = """
+import sys
+from resalg import cli
+for argv in sys.argv[1:]:
+    code = cli.main(argv.split("|"))
+    print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_run_paths_load_only_scipys_lapack_extension(tmp_path):
+    # generators multiply on the pattern in numpy, and LAPACK comes from
+    # scipy's extension module alone: neither scipy.sparse nor the
+    # scipy.linalg package is imported
+    out = str(tmp_path / "report")
+    runs = [
+        ["verify", "--config", "configs/quick.json", "--out", out],
+        ["verify", "--config", "configs/two_mode.json", "--out", out],
+        ["eval", "R(1,[1,0])*R(-2,[0.5,1])", "--trunc", "32", "--out", out],
+        ["cohomology", "--trunc", "16", "--out", out],
+        ["schur", "--pair", "1,0;0,1", "--out", out],
+        ["schur", "R(1,[1,0])*R(1,[0,0])", "--trunc", "16", "--out", out],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_MODULES_PROBE, *("|".join(run) for run in runs)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[0] for line in lines] == ["0", "0", "0", "0", "0", "1"]
+    for run, (_, *modules) in zip(runs, lines):
+        assert set(modules) <= {"scipy.linalg._flapack"}, run
 
 
 def test_console_script_smoke():

@@ -1,11 +1,13 @@
 """Tests for the truncated Fock realization."""
 
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import F_POOL, random_expression
+from conftest import F_POOL, csc_generator, random_expression
 from resalg import fock, symplectic, verify
 from resalg.expr import DomainError, parse, resolvent
 
@@ -87,6 +89,24 @@ def test_generator_matches_dense_sum(modes, levels):
         expected += f[2 * k + 1] * canonical(rep, k, 1)
     assert np.array_equal(fock.generator(rep, f).toarray(), expected)
     assert np.array_equal(fock.generator_values(rep, f), fock.generator(rep, f).data)
+
+
+@pytest.mark.parametrize("modes, levels", [(1, 64), (2, 12), (3, 6)])
+def test_pattern_product_is_bitwise_scipys_csc_product(modes, levels):
+    rep = fock.build_rep(modes, levels)
+    rng = np.random.default_rng(levels)
+    f = rng.standard_normal(2 * modes)
+    plain, shifted = fock.generator(rep, f), fock.generator(rep, f)
+    shifted.data[rep.diagonal] += 1j * (0.7 - 1.3j)  # iz + G_f, as the solver forms it
+    for ours in (plain, shifted):
+        ref = csc_generator(rep, f)
+        ref.data = ours.data.copy()
+        assert np.array_equal(ours.toarray(), ref.toarray())
+        for shape in ((rep.dim,), (rep.dim, 1), (rep.dim, 7)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = ours @ x
+            assert got.shape == shape
+            assert np.array_equal(got, ref @ x)
 
 
 def test_generator_commutator_matches_form_below_top():
@@ -198,15 +218,71 @@ def test_broken_factorization_raises_at_construction(monkeypatch):
         fock.ResolventSolver(rep, 1.0, (1.0, 0.0))
 
 
+# binds the package's LAPACK routines, then imports scipy.linalg and prints
+# whether get_lapack_funcs hands out the very same routine objects
+_LATER_SCIPY_LINALG = """
+import sys
+import numpy as np
+from resalg import fock
+bound = [fock.lapack(name) for name in ("zgttrf", "zgttrs", "dstebz", "dstevd")]
+print("scipy.linalg" in sys.modules)
+from scipy.linalg import get_lapack_funcs
+scipys = [*get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128),
+          *get_lapack_funcs(("stebz", "stevd"), dtype=np.float64)]
+print(all(a is b for a, b in zip(bound, scipys)), sys.modules["scipy.linalg._flapack"].__name__)
+"""
+
+
+def test_lapack_routines_are_scipys_after_a_later_import():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LATER_SCIPY_LINALG], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True scipy.linalg._flapack"]
+
+
+def _lapack_results():
+    # a one-mode solve and adjoint solve, a basis and a top eigenvalue
+    one, two = fock.build_rep(1, 64), fock.build_rep(2, 10)
+    block = np.random.default_rng(5).standard_normal((64, 4)) + 0j
+    solver = fock.ResolventSolver(one, 1.0 - 0.5j, (0.7, -1.3))
+    e = np.sqrt(np.arange(1, 40) / 2.0)
+    return [solver.apply(block), solver.apply_adjoint(block), *two.basis,
+            verify._top_eigenvalue(e)]
+
+
+def test_lapack_fallback_gives_identical_solves(monkeypatch):
+    import scipy.linalg
+
+    expected = _lapack_results()
+    asked = []
+    real = scipy.linalg.get_lapack_funcs
+
+    def counting(names, *args, **kwargs):
+        asked.append(names)
+        return real(names, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    monkeypatch.setattr(fock, "_flapack_file", lambda: None)  # the extension is not found
+    fock.lapack.cache_clear()
+    try:
+        got = _lapack_results()
+    finally:
+        fock.lapack.cache_clear()
+    assert sorted(asked) == ["gttrf", "gttrs", "stebz", "stevd"]
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
 class _SuperLU:
     """The reference resolvent: scipy's SuperLU of the sparse iz + G_f,
-    assembled here independently of the solver's own CSC."""
+    assembled here as scipy's CSC, independently of the package's product."""
 
     def __init__(self, rep, z, f):
         from scipy import sparse
         from scipy.sparse.linalg import splu
 
-        a = fock.generator(rep, f) + 1j * z * sparse.identity(rep.dim)
+        a = csc_generator(rep, f) + 1j * z * sparse.identity(rep.dim)
         self._lu = splu(sparse.csc_matrix(a))
         self.dim = rep.dim
 
@@ -289,17 +365,26 @@ def test_bad_basis_raises_at_construction(planted):
         fock.ResolventSolver(rep, 1.0, (1.0, 0.5, -1.0, 0.0))
 
 
-def test_basis_is_built_once_per_rep(monkeypatch):
-    import scipy.linalg
+@pytest.mark.parametrize("levels", [2, 3, 10, 64, 257])
+def test_basis_is_bitwise_eigh_tridiagonal(levels):
+    from scipy.linalg import eigh_tridiagonal
 
+    x, u = eigh_tridiagonal(np.zeros(levels), np.sqrt(np.arange(1, levels) / 2.0))
+    basis_u, basis_x = fock.build_rep(1, levels).basis
+    assert np.array_equal(basis_u, u)
+    assert np.array_equal(basis_x, x)
+
+
+def test_basis_is_built_once_per_rep(monkeypatch):
     calls = []
-    real = scipy.linalg.eigh_tridiagonal
+    real = fock.lapack("dstevd")
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    lapack = fock.lapack
+    monkeypatch.setattr(fock, "lapack", lambda name: counting if name == "dstevd" else lapack(name))
     rep = fock.build_rep(2, 10)
     for z, f in ((1.0, (1.0, 0.0, 0.0, 1.0)), (-2.0, (0.0, 1.0, 1.0, 0.0))):
         fock.ResolventSolver(rep, z, f).matrix()
@@ -440,7 +525,7 @@ def test_box_indices_two_modes():
 def test_schur_constant_detects_scalar():
     rep = fock.build_rep(2, 8)
     f, g = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)
-    k = -1j * commutator(fock.generator(rep, f), fock.generator(rep, g))
+    k = -1j * commutator(csc_generator(rep, f), csc_generator(rep, g))
     report = fock.schur_constant(rep, k, cutoff=6, seed=3)
     assert report.is_scalar
     sig = symplectic.pair(rep.space, f, g)

@@ -394,6 +394,9 @@ def test_config_probe_enables_family():
         # distinct vectors, pseudo two spectral parameters
         {"families": ("rel_i",), "vectors": ((1.0, 0.0),)},
         {"families": ("pseudo",), "lambdas": (1.0,)},
+        # a repeated spectral parameter, also written as [re, im]
+        {"families": ("pseudo",), "lambdas": (1.0, 1.0)},
+        {"lambdas": (1.0, -1.0, (1.0, 0.0))},
     ],
 )
 def test_config_rejects(kwargs):
