@@ -65,8 +65,9 @@ def _fastest(fn) -> float:
 
 class SuperLUReference:
     """R(Z, f) by scipy's SuperLU of the sparse iz + G_f, with the probe
-    residual that `fock.ResolventSolver` computes at construction.  The CSC
-    matrix is built here from the values on the representation's pattern."""
+    residual that `fock.ResolventSolver` computes at construction.  scipy
+    builds the CSC matrix from the (row, column, value) triplets of the
+    representation's row stencil."""
 
     def __init__(self, rep, f):
         from scipy import sparse
@@ -74,7 +75,9 @@ class SuperLUReference:
 
         data = fock.generator_values(rep, f)
         data[rep.diagonal] += 1j * Z
-        a = sparse.csc_matrix((data, rep.indices, rep.indptr), shape=(rep.dim, rep.dim))
+        rows = np.broadcast_to(np.arange(rep.dim), rep.cols.shape)
+        triplets = (data.ravel(), (rows.ravel(), rep.cols.ravel()))
+        a = sparse.coo_matrix(triplets, shape=(rep.dim, rep.dim)).tocsc()
         self._lu = splu(a)
         probes = fock._probes(rep.dim)
         self.backward_error = float(np.linalg.norm(a @ self.apply(probes) - probes))

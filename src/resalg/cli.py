@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 from dataclasses import replace
@@ -56,9 +57,12 @@ def _load_config(args) -> verify.Config:
 
 def _parse_vector(text: str) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(","))
+        vector = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise verify.ConfigError(f"bad vector {text!r}") from exc
+    if not all(map(math.isfinite, vector)):
+        raise verify.ConfigError(f"bad vector {text!r}: not finite")
+    return vector
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +141,12 @@ def cmd_schur(args) -> int:
         "seed": config.seed,
     }
     solvers = verify.SolverCache(rep)
-    # a malformed vector (ConfigError), ParseError, DomainError and a vector
-    # or letter of the wrong dimension are all ValueErrors
+    # a malformed vector is a ConfigError, which main reports; ParseError,
+    # DomainError and a vector or letter of the wrong dimension are ValueErrors
+    pair = args.pair and [_parse_vector(text) for text in args.pair.split(";")]
     try:
-        if args.pair:
-            left, right = args.pair.split(";")
-            f, g = _parse_vector(left), _parse_vector(right)
+        if pair:
+            f, g = pair
             report, target, gap, ok = verify.pairing_probe(
                 solvers, rep.space, f, g, config.compression, config.seed
             )

@@ -274,7 +274,7 @@ class OperatorFamily:
         return c * _lookup(self.lattice_shifts, self.box, "family shift", unit)
 
     def values(self, f) -> np.ndarray:
-        """G_f + s(f)*1 as values on the representation's sparse pattern."""
+        """G_f + s(f)*1 as values on the representation's row stencil."""
         data = fock.generator_values(self.rep, f)
         data[self.rep.diagonal] += self.shift(f)
         return data
@@ -331,19 +331,24 @@ _CHUNK_ENTRIES = 2**17
 
 
 def _rayleigh_weights(rep: fock.FockRep, cutoff: int, seed: int):
-    """Pattern entries the Schur probe block sees, and weights that map an
-    operator's values on them to its Rayleigh quotients.
+    """Stencil entries the Schur probe block sees, as (slot, row) indices
+    into a value array, and weights that map an operator's values on them to
+    its Rayleigh quotients.
 
-    With entry e at (row i_e, column j_e) of the sparse pattern,
-    <phi_c, K phi_c>/<phi_c, phi_c> = sum_e K_e W[e,c] for
-    W[e,c] = conj(phi[i_e,c]) phi[j_e,c] / |phi_c|^2.  Entries whose weights
-    all vanish lie outside the probes' support and are dropped.
+    With entry e at (row i_e, column j_e), <phi_c, K phi_c>/<phi_c, phi_c>
+    = sum_e K_e W[e,c] for W[e,c] = conj(phi[i_e,c]) phi[j_e,c] / |phi_c|^2.
+    The slots past a mode's boundary are dropped, and so are the entries
+    whose weights all vanish, outside the probes' support.
     """
     probes = fock.probe_block(rep, cutoff, seed)
-    cols = np.repeat(np.arange(rep.dim), np.diff(rep.indptr))
     norms = np.einsum("ij,ij->j", probes.conj(), probes).real
-    weights = probes[rep.indices].conj() * probes[cols] / norms
-    seen = np.flatnonzero(np.any(weights != 0, axis=1))
+    weights = probes.conj() * probes[rep.cols] / norms
+    present = rep.cols != np.arange(rep.dim)
+    present[rep.diagonal] = True
+    slot, row = np.nonzero(present & np.any(weights != 0, axis=2))
+    # column by column, rows ascending: the bits of `_probe_rows` depend on it
+    order = np.lexsort((row, rep.cols[slot, row]))
+    seen = slot[order], row[order]
     return seen, weights[seen]
 
 
@@ -371,7 +376,7 @@ def build_cocycle(
     """Extracts xi over every valid ordered lattice pair.
 
     Each lattice point's gauged generator is formed once, as its values on
-    the sparse pattern (`OperatorFamily.values`).  The probed operator of a
+    the row stencil (`OperatorFamily.values`).  The probed operator of a
     pair, G'_f + G'_g - G'_{f+g}, is combined from those values and probed
     by `_probe_rows`, so NotScalarError names the first failing pair.  The
     operator is symmetric under swapping the pair, so the value is computed
@@ -613,8 +618,8 @@ def improve_family(
     checked scalar-wise on every in-box pair and by the norms of the defect
     operators of _MATRIX_SAMPLES evenly spaced pairs; homogeneity by defect
     norms along basis rays.  Each defect operator is combined from value
-    rows, and its norm is the Frobenius norm of its values on the sparse
-    pattern, an upper bound on its spectral norm.
+    rows, and its norm is the Frobenius norm of its values on the row
+    stencil, an upper bound on its spectral norm.
     """
     points = lattice_points(gauge.dim, gauge.box)
     theta = 0.0 if homogeneity is None else [homogeneity.theta(p) for p in points]

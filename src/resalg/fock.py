@@ -11,14 +11,15 @@ per mode with entry -iN at the top number state, so everything supported
 below the boundary behaves canonically.
 
 Each Q_k and P_k, a tridiagonal matrix padded by Kronecker products with
-identities, is stored as its values on one sparse (CSC) pattern that all of
-them and the identity share, so a generator G_f or a shifted iz + G_f is one
-weighted sum of value rows.  A resolvent (`ResolventSolver`) applies
-(iz + G_f)^-1 to blocks of columns without forming it: with one mode by the
-LAPACK tridiagonal LU (?gttrf/?gttrs) of iz + G_f, with two or more by the
-eigenbasis of one mode's truncated Q (`FockRep.basis`).  Dense matrices are
-formed only on request: full resolvents and evaluated expressions.  No scipy
-package is imported: LAPACK comes from scipy's extension module (`lapack`).
+identities, is stored as its values on one row stencil (`FockRep`) that all
+of them and the identity share, so a generator G_f or a shifted iz + G_f is
+one weighted sum of value arrays (`PatternMatrix`).  A resolvent
+(`ResolventSolver`) applies (iz + G_f)^-1 to blocks of columns without
+forming it: with one mode by the LAPACK tridiagonal LU (?gttrf/?gttrs) of
+iz + G_f, with two or more by the eigenbasis of one mode's truncated Q
+(`FockRep.basis`).  Dense matrices are formed only on request: full
+resolvents and evaluated expressions.  No scipy package is imported: LAPACK
+comes from scipy's extension module (`lapack`).
 """
 
 from __future__ import annotations
@@ -56,20 +57,18 @@ _DTYPE_TAG = b"c16\x00"
 
 @dataclass(frozen=True)
 class FockRep:
-    """Immutable per-mode position/momentum matrices on one sparse pattern.
+    """Immutable per-mode position/momentum matrices on one row stencil.
 
-    Every Q_k, P_k and the identity fit the CSC pattern (indices, indptr):
-    column j holds rows j and j +- s_k, s_k being the stride of mode k.
-    `entries` holds the values of Q_1, P_1, ..., Q_n, P_n on that pattern,
-    explicit zeros included, and `diagonal` the positions of the (j, j)
-    entries in it.
-    """
+    Row r of every Q_k, P_k and the identity has its entries among the
+    columns r - s_1 < ... < r - s_n < r < r + s_n < ... < r + s_1, s_k being
+    the stride of mode k: slot t of row r is column cols[t, r], and slot
+    `diagonal` is r itself.  `entries` holds the values of Q_1, P_1, ...,
+    Q_n, P_n on the slots.  A slot past a mode's boundary points at r and
+    holds 0 in every row of `entries`."""
 
     space: symplectic.SymplecticSpace
     levels: int
-    indices: np.ndarray = field(repr=False)
-    indptr: np.ndarray = field(repr=False)
-    diagonal: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
     entries: np.ndarray = field(repr=False)
 
     @property
@@ -79,6 +78,10 @@ class FockRep:
     @property
     def dim(self) -> int:
         return self.levels ** self.modes
+
+    @property
+    def diagonal(self) -> int:
+        return self.modes
 
     @cached_property
     def basis(self) -> tuple:
@@ -95,45 +98,24 @@ class FockRep:
             arr.setflags(write=False)
         return u, x
 
-    @cached_property
-    def stencil(self) -> tuple:
-        """(cols, pos), each (width, dim): row n of the pattern holds the
-        values pos[:, n] in columns cols[:, n], ascending; a short row is
-        padded with position nnz, a zero.  Built on first access, read-only."""
-        col = np.repeat(np.arange(self.dim), np.diff(self.indptr))
-        order = np.lexsort((col, self.indices))  # row by row, columns ascending
-        row = self.indices[order]
-        slot = np.arange(len(row)) - np.searchsorted(row, row)
-        cols = np.zeros((slot.max() + 1, self.dim), dtype=np.intp)
-        pos = np.full(cols.shape, len(row))
-        cols[slot, row], pos[slot, row] = col[order], order
-        for arr in (cols, pos):
-            arr.setflags(write=False)
-        return cols, pos
-
 
 class PatternMatrix:
-    """The matrix with values `data` (changeable in place) on a
-    representation's sparse pattern.  Row n of `m @ x` sums
-    data[pos[t, n]] * x[cols[t, n]] over t (`FockRep.stencil`) in one einsum,
-    which gives the bits of scipy's CSC product; a per-slot multiply-add
-    does not, as numpy's complex multiply may fuse it."""
+    """The matrix with values `data` (changeable in place), shaped like
+    `rep.cols`, on a representation's row stencil.  Row r of `m @ x` sums
+    data[t, r] * x[cols[t, r]] over the slots t in one einsum, which gives
+    the bits of scipy's CSC product; a per-slot multiply-add does not, as
+    numpy's complex multiply may fuse it."""
 
     def __init__(self, rep: FockRep, data: np.ndarray):
-        self.rep, self.data, self.shape = rep, data, (rep.dim, rep.dim)
+        self.rep, self.data = rep, data
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        cols, pos = self.rep.stencil
-        return np.einsum("tn,tn...->n...", np.append(self.data, 0)[pos], np.asarray(x)[cols])
+        return np.einsum("tn,tn...->n...", self.data, np.asarray(x)[self.rep.cols])
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=complex)
-        col = np.repeat(np.arange(self.rep.dim), np.diff(self.rep.indptr))
-        out[self.rep.indices, col] = self.data
+        out = np.zeros((self.rep.dim,) * 2, dtype=complex)
+        np.add.at(out, (np.arange(self.rep.dim), self.rep.cols), self.data)
         return out
-
-
-pattern_matrix = PatternMatrix  # the matrix with values `data` on rep's pattern
 
 
 def build_rep(n: int, levels: int, max_dim: int = DEFAULT_MAX_DIM) -> FockRep:
@@ -147,52 +129,33 @@ def build_rep(n: int, levels: int, max_dim: int = DEFAULT_MAX_DIM) -> FockRep:
             f"dimension {levels}**{n} exceeds the memory cap {max_dim}"
         )
     dim = levels ** n
-    cols = np.arange(dim)
-    strides = [levels ** (n - 1 - k) for k in range(n)]
-    # the slots of column j in ascending row order:
-    # j - s_1 < ... < j - s_n < j < j + s_n < ... < j + s_1
-    slots = [(k, -1) for k in range(n)] + [(None, 0)] + [(k, 1) for k in reversed(range(n))]
-    rows = np.empty((dim, len(slots)), dtype=np.int32)
-    valid = np.empty((dim, len(slots)), dtype=bool)
-    entries = np.zeros((2 * n, dim, len(slots)), dtype=complex)
-    for t, (k, side) in enumerate(slots):
-        if k is None:
-            rows[:, t] = cols
-            valid[:, t] = True
-            continue
-        level = (cols // strides[k]) % levels
-        rows[:, t] = cols + side * strides[k]
-        if side < 0:  # a|m> = sqrt(m)|m-1>
-            valid[:, t] = level > 0
-            a, a_star = np.sqrt(level), 0.0
-        else:  # a*|m> = sqrt(m+1)|m+1>
-            valid[:, t] = level < levels - 1
-            a, a_star = 0.0, np.sqrt(level + 1.0)
-        entries[2 * k, :, t] = (a + a_star) / np.sqrt(2.0)
-        entries[2 * k + 1, :, t] = (a - a_star) / (1j * np.sqrt(2.0))
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(valid.sum(axis=1), out=indptr[1:])
-    indices = rows[valid]
-    diagonal = indptr[:-1] + valid[:, :n].sum(axis=1)
-    entries = entries[:, valid]
-    # every sparse matrix built on the pattern shares these arrays
-    for arr in (indices, indptr, diagonal, entries):
+    rows = np.arange(dim)
+    # slot k of row r is column r - s_k, slot 2n - k column r + s_k and slot n
+    # column r, with s_k = levels**(n-1-k) the stride of mode k
+    cols = np.tile(rows, (2 * n + 1, 1))
+    entries = np.zeros((2 * n, 2 * n + 1, dim), dtype=complex)
+    for k in range(n):
+        stride = levels ** (n - 1 - k)
+        level = (rows // stride) % levels
+        # below the diagonal a*|m-1> = sqrt(m)|m>, above it a|m+1> = sqrt(m+1)|m>
+        below = k, -stride, level > 0, 0.0, np.sqrt(level)
+        above = 2 * n - k, stride, level < levels - 1, np.sqrt(level + 1.0), 0.0
+        for t, step, valid, a, a_star in (below, above):
+            cols[t, valid] += step
+            entries[2 * k, t] = (a + a_star) / np.sqrt(2.0)
+            entries[2 * k + 1, t] = (a - a_star) / (1j * np.sqrt(2.0))
+    entries[:, cols == rows] = 0.0  # the diagonal and the slots past a boundary
+    # every matrix built on the stencil shares these arrays
+    for arr in (cols, entries):
         arr.setflags(write=False)
-    return FockRep(
-        space=symplectic.standard_space(n),
-        levels=levels,
-        indices=indices,
-        indptr=indptr,
-        diagonal=diagonal,
-        entries=entries,
-    )
+    return FockRep(symplectic.standard_space(n), levels, cols, entries)
 
 
 def generator_values(rep: FockRep, f) -> np.ndarray:
-    """Values of G_f on the representation's sparse pattern: the weighted
-    sum of the Q_k, P_k value rows."""
+    """Values of G_f on the representation's row stencil: the weighted sum
+    of the Q_k, P_k value rows."""
     fv = symplectic.as_vector(rep.space, f)
-    data = np.zeros(rep.entries.shape[1], dtype=complex)
+    data = np.zeros(rep.cols.shape, dtype=complex)
     for weight, values in zip(fv, rep.entries):
         data += weight * values
     return data
@@ -201,7 +164,7 @@ def generator_values(rep: FockRep, f) -> np.ndarray:
 def generator(rep: FockRep, f) -> PatternMatrix:
     """Hermitian field generator G_f = sum_k f_{2k-1} Q_k + f_{2k} P_k, as
     the `PatternMatrix` of `generator_values`."""
-    return pattern_matrix(rep, generator_values(rep, f))
+    return PatternMatrix(rep, generator_values(rep, f))
 
 
 def _probes(dim: int) -> np.ndarray:
@@ -369,12 +332,12 @@ def _gttrf_gttrs():
 
 def _tridiagonal_lu(rep: FockRep, data: np.ndarray) -> tuple:
     """?gttrf factors (dl, d, du, du2, ipiv) of the one-mode matrix with
-    values `data` on the pattern; a zero pivot leaves inf or nan in the
-    solves, which the probe guard rejects."""
+    values `data` on the stencil, whose slots 0, 1 and 2 are its sub-, main
+    and super-diagonal; a zero pivot leaves inf or nan in the solves, which
+    the probe guard rejects."""
     if rep.modes != 1:
         raise ValueError(f"the tridiagonal LU needs one mode, got {rep.modes}")
-    d = rep.diagonal
-    return _gttrf_gttrs()[0](data[d[:-1] + 1], data[d], data[d[1:] - 1])[:5]
+    return _gttrf_gttrs()[0](data[0, 1:], data[1], data[2, :-1])[:5]
 
 
 def _real_matmul(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -446,27 +409,20 @@ def probe_block(rep: FockRep, cutoff: int, seed: int = 0) -> np.ndarray:
 def schur_constant(rep: FockRep, k: np.ndarray, cutoff: int, seed: int = 0) -> SchurReport:
     """Rayleigh quotients <phi, K phi>/<phi, phi> over the columns of
     `probe_block`; K is scalar when they all lie within SCHUR_TOL of their
-    mean.  K is a dense or sparse matrix (with `toarray`), or a function
-    that applies K to a block of columns, so K itself need not be formed."""
+    mean.  K is a dense matrix, or a function that applies K to a block of
+    columns, so K itself need not be formed."""
     if not callable(k):
-        if not hasattr(k, "toarray"):  # sparse operators multiply the probes as they are
-            k = np.asarray(k, dtype=complex)
+        k = np.asarray(k, dtype=complex)
         if k.shape != (rep.dim, rep.dim):
             raise ValueError(f"matrix shape {k.shape} does not match dim {rep.dim}")
         k = k.__matmul__  # one product for every probe column
     probes = probe_block(rep, cutoff, seed)
-    n_probes = probes.shape[1]
-    applied = k(probes)
-    values = np.einsum("ij,ij->j", probes.conj(), applied)
+    values = np.einsum("ij,ij->j", probes.conj(), k(probes))
     values /= np.einsum("ij,ij->j", probes.conj(), probes).real
     mean = complex(np.mean(values))
     max_dev = float(np.max(np.abs(values - mean)))
-    return SchurReport(
-        mean=mean,
-        max_deviation=max_dev,
-        probes_used=n_probes,
-        is_scalar=max_dev <= SCHUR_TOL,
-    )
+    return SchurReport(mean=mean, max_deviation=max_dev, probes_used=probes.shape[1],
+                       is_scalar=max_dev <= SCHUR_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,7 @@ class RelationCheck:
 
 
 def _verdict(residuals, tol: float, exact: bool) -> bool:
-    if not residuals:
-        return False
-    if any(math.isnan(r) or math.isinf(r) for r in residuals):
+    if not residuals or not all(map(math.isfinite, residuals)):
         return False
     if exact:
         return all(r <= tol for r in residuals)
@@ -110,7 +108,7 @@ class SolverCache:
         return self._solvers[key]
 
     def generator(self, f) -> fock.PatternMatrix:
-        """G_f on the representation's sparse pattern."""
+        """G_f on the representation's row stencil."""
         key = tuple(float(x) for x in f)
         if key not in self._generators:
             self._generators[key] = fock.generator(self.rep, key)
@@ -453,11 +451,19 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A finite real number; inf and nan are not."""
+    if not math.isfinite(x := float(value)):
+        raise ValueError(f"{value!r} is not finite")
+    return x
+
+
 def _spectral(value) -> complex:
-    """A number, or [re, im]."""
+    """A finite number, or [re, im]."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
+        return complex(_real(value[0]), _real(value[1]))
+    z = complex(value)
+    return complex(_real(z.real), _real(z.imag))
 
 
 def _list(read):
@@ -482,12 +488,12 @@ _READERS = {
     "modes": _integer,
     "truncations": _list(_integer),
     "compression": _integer,
-    "tolerance": float,
+    "tolerance": _real,
     "seed": _integer,
     "space": lambda value: value,
     "lambdas": _list(_spectral),
-    "scales": _list(float),
-    "vectors": _optional(_list(_list(float))),
+    "scales": _list(_real),
+    "vectors": _optional(_list(_list(_real))),
     "probes": _list(str),
     "families": _optional(_list(str)),
     "max_dim": _integer,

@@ -38,10 +38,18 @@ def random_expression(
     return expr.Expr(tuple(terms))
 
 
-def csc_generator(rep: fock.FockRep, f):
-    """G_f as scipy's CSC matrix on the representation's pattern: the
-    reference for the package's own pattern product."""
+def csc_from_stencil(rep: fock.FockRep, data: np.ndarray):
+    """scipy's CSC matrix of the values `data` on the representation's row
+    stencil, converted by scipy from the (row, column, value) triplets: the
+    reference for the package's own stencil product.  The conversion sums
+    the zero-valued slots past a mode's boundary into the diagonal."""
     from scipy import sparse
 
-    values = fock.generator_values(rep, f)
-    return sparse.csc_matrix((values, rep.indices, rep.indptr), shape=(rep.dim, rep.dim))
+    rows = np.broadcast_to(np.arange(rep.dim), rep.cols.shape)
+    triplets = (data.ravel(), (rows.ravel(), rep.cols.ravel()))
+    return sparse.coo_matrix(triplets, shape=(rep.dim, rep.dim)).tocsc()
+
+
+def csc_generator(rep: fock.FockRep, f):
+    """G_f as scipy's CSC matrix, built by `csc_from_stencil`."""
+    return csc_from_stencil(rep, fock.generator_values(rep, f))

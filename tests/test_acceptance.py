@@ -100,7 +100,7 @@ def test_scalar_extraction_matches_pairing_on_basis():
                 f, g = basis[i], basis[j]
                 prod = csc_generator(rep, f) @ csc_generator(rep, g)
                 k = -1j * (prod - prod.conj().T)
-                report = fock.schur_constant(rep, k, cutoff=levels - 2)
+                report = fock.schur_constant(rep, k.__matmul__, cutoff=levels - 2)
                 assert report.is_scalar
                 target = symplectic.pair(rep.space, f, g)
                 gap = abs(report.mean - target)

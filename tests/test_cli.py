@@ -143,13 +143,21 @@ def test_verify_nonstandard_space_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "key, value, message",
-    [("seed", 1.5, "bad seed"), ("families", [], "at least one family")],
+    [("seed", 1.5, "bad seed"), ("families", [], "at least one family"),
+     ("lambdas", [float("nan"), 1.0], "bad lambdas"),
+     ("vectors", [[float("nan"), 0], [0, 1]], "bad vectors"),
+     ("scales", [float("inf")], "bad scales"),
+     ("--tol", "inf", "bad tolerance")],
 )
 def test_verify_rejected_config_value_exits_2(capsys, tmp_path, key, value, message):
-    config = {"schema_version": 1, "truncations": [8, 12], "compression": 4, key: value}
+    # a key that starts with "--" is given as a command-line flag
+    flags = [key, value] if key.startswith("--") else []
+    config = {"schema_version": 1, "truncations": [8, 12], "compression": 4}
+    if not flags:
+        config[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), *flags)
     assert code == 2
     assert out == ""
     assert err.startswith("config error: ")
@@ -490,6 +498,10 @@ def test_schur_requires_an_operand(capsys):
 def test_schur_malformed_pair_exits_2(capsys):
     code, _, err = run_cli(capsys, "schur", "--pair", "1,0", "--trunc", "16")
     assert code == 2
+    code, out, err = run_cli(capsys, "schur", "--pair", "nan,0;0,1", "--trunc", "16")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: bad vector 'nan,0'")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def random_setup(rep):
 
 
 def dense(family, f):
-    return fock.pattern_matrix(family.rep, family.values(f)).toarray()
+    return fock.PatternMatrix(family.rep, family.values(f)).toarray()
 
 
 def extract_xi(rep, gauge, f, g, cutoff=coh.DEFAULT_CUTOFF, seed=0):
@@ -302,7 +302,7 @@ def test_build_cocycle_names_first_non_scalar_pair(rep, monkeypatch):
         # fock.generator builds on these values too, so both paths see it
         out = plain(rep_, f)
         if tuple(f) == broken:
-            out[rep_.diagonal[0]] += 0.5
+            out[rep_.diagonal, 0] += 0.5
         return out
 
     monkeypatch.setattr(fock, "generator_values", generator_values)
@@ -585,7 +585,7 @@ def test_zeta_names_axis_and_scalar_of_non_scalar_probe(rep, random_setup, monke
     def generator_values(rep_, f):
         out = plain(rep_, f)
         if tuple(f) == (0.0, 0.5):
-            out[rep_.diagonal[0]] += 0.5
+            out[rep_.diagonal, 0] += 0.5
         return out
 
     monkeypatch.setattr(fock, "generator_values", generator_values)
@@ -657,7 +657,7 @@ def test_improve_detects_matrix_defects(rep, monkeypatch, bend, message):
 
     def generator_values(rep_, f):
         out = plain(rep_, f)
-        out[rep_.diagonal[0] + 1] += 0.1 * bend(float(f[0]))
+        out[rep_.diagonal - 1, 1] += 0.1 * bend(float(f[0]))  # row 1, column 0
         return out
 
     monkeypatch.setattr(fock, "generator_values", generator_values)

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import F_POOL, csc_generator, random_expression
+from conftest import F_POOL, csc_from_stencil, csc_generator, random_expression
 from resalg import fock, symplectic, verify
 from resalg.expr import DomainError, parse, resolvent
 
@@ -21,7 +21,7 @@ def commutator(a, b):
 
 def canonical(rep, k, row):
     """Dense Q_k (row 0) or P_k (row 1), read from the representation's entries."""
-    return fock.pattern_matrix(rep, rep.entries[2 * k + row]).toarray()
+    return fock.PatternMatrix(rep, rep.entries[2 * k + row]).toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +47,24 @@ def test_commutation_defect_is_rank_one_at_top():
 
 
 def test_two_mode_layout():
-    rep = fock.build_rep(2, 3)
-    assert rep.dim == 9
-    # mode 1 is the leftmost tensor factor
     a = np.diag(np.sqrt(np.arange(1.0, 3)), 1)
-    q1 = (a + a.conj().T) * SQ2
-    assert np.allclose(canonical(rep, 0, 0), np.kron(q1, np.eye(3)))
-    assert np.allclose(canonical(rep, 1, 0), np.kron(np.eye(3), q1))
+    q1, p1 = (a + a.conj().T) * SQ2, (a - a.conj().T) * SQ2 / 1j
+    for modes in (1, 2, 3):
+        rep = fock.build_rep(modes, 3)
+        assert rep.dim == 3 ** modes
+        # mode 1 is the leftmost tensor factor
+        for k in range(modes):
+            left, right = np.eye(3 ** k), np.eye(3 ** (modes - 1 - k))
+            assert np.allclose(canonical(rep, k, 0), np.kron(np.kron(left, q1), right))
+            assert np.allclose(canonical(rep, k, 1), np.kron(np.kron(left, p1), right))
+        # a slot past a mode's boundary points at its own row and holds 0:
+        # each mode has one such slot below and one above per top-level state
+        absent = rep.cols == np.arange(rep.dim)
+        absent[rep.diagonal] = False
+        assert absent.sum() == 2 * modes * 3 ** (modes - 1)
+        assert np.all(rep.entries[:, absent] == 0)
     # different modes commute exactly
+    rep = fock.build_rep(2, 3)
     assert np.allclose(commutator(canonical(rep, 0, 0), canonical(rep, 1, 1)), 0.0)
 
 
@@ -99,8 +109,7 @@ def test_pattern_product_is_bitwise_scipys_csc_product(modes, levels):
     plain, shifted = fock.generator(rep, f), fock.generator(rep, f)
     shifted.data[rep.diagonal] += 1j * (0.7 - 1.3j)  # iz + G_f, as the solver forms it
     for ours in (plain, shifted):
-        ref = csc_generator(rep, f)
-        ref.data = ours.data.copy()
+        ref = csc_from_stencil(rep, ours.data)
         assert np.array_equal(ours.toarray(), ref.toarray())
         for shape in ((rep.dim,), (rep.dim, 1), (rep.dim, 7)):
             x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -526,7 +535,7 @@ def test_schur_constant_detects_scalar():
     rep = fock.build_rep(2, 8)
     f, g = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)
     k = -1j * commutator(csc_generator(rep, f), csc_generator(rep, g))
-    report = fock.schur_constant(rep, k, cutoff=6, seed=3)
+    report = fock.schur_constant(rep, k.__matmul__, cutoff=6, seed=3)
     assert report.is_scalar
     sig = symplectic.pair(rep.space, f, g)
     assert abs(report.mean - sig) < 1e-10
@@ -535,7 +544,7 @@ def test_schur_constant_detects_scalar():
 
 def test_schur_constant_flags_non_scalar():
     rep = fock.build_rep(1, 8)
-    report = fock.schur_constant(rep, fock.generator(rep, (1.0, 0.0)), cutoff=4)
+    report = fock.schur_constant(rep, fock.generator(rep, (1.0, 0.0)).__matmul__, cutoff=4)
     assert not report.is_scalar
     assert report.max_deviation > 0.1
 

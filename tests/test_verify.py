@@ -397,6 +397,12 @@ def test_config_probe_enables_family():
         # a repeated spectral parameter, also written as [re, im]
         {"families": ("pseudo",), "lambdas": (1.0, 1.0)},
         {"lambdas": (1.0, -1.0, (1.0, 0.0))},
+        # infinite and nan numbers
+        {"tolerance": float("inf")},
+        {"lambdas": (float("nan"), 1.0)},
+        {"lambdas": ((1.0, float("inf")),)},
+        {"scales": (float("inf"),)},
+        {"vectors": ((float("nan"), 0.0), (0.0, 1.0))},
     ],
 )
 def test_config_rejects(kwargs):
