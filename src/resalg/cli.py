@@ -144,6 +144,10 @@ def cmd_schur(args) -> int:
     # a malformed vector is a ConfigError, which main reports; ParseError,
     # DomainError and a vector or letter of the wrong dimension are ValueErrors
     pair = args.pair and [_parse_vector(text) for text in args.pair.split(";")]
+    if pair and len(pair) != 2:
+        raise verify.ConfigError(
+            f'--pair takes two vectors "f1,f2;g1,g2", got {len(pair)}'
+        )
     try:
         if pair:
             f, g = pair

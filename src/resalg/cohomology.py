@@ -699,17 +699,24 @@ def run_pipeline(
     pipeline; its name and error land in the report.  `corrupt_pair` injects
     a deliberate fault into the extracted table, for exercising the failure
     path end to end.
+
+    The report (schema version 2) names each lattice point once: `points`
+    lists them in `lattice_points` order, p_0, p_1, ...  Since xi is
+    symmetric it is written as its upper triangle: `xi[i]` holds
+    xi(p_i, p_j) for every j >= i with p_i + p_j in the box, in ascending j,
+    so the columns follow from the box and are not written.  `gamma`, once
+    the coboundary stage has run, holds gamma(p_i) in the order of `points`.
     """
     stages = {}
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "box": gauge.box,
         "dim": gauge.dim,
+        "points": [list(p) for p in lattice_points(gauge.dim, gauge.box)],
         "stages": stages,
         "all_pass": False,
     }
 
-    points = [list(p) for p in lattice_points(gauge.dim, gauge.box)]
     xi = build_cocycle(rep, gauge, cutoff=cutoff, seed=seed)
     if corrupt_pair:
         values = xi.values.copy()
@@ -718,10 +725,8 @@ def run_pipeline(
             raise ValueError("fault injection needs a box of radius >= 2")
         values[e, e] += 1.0
         xi = Cocycle(dim=xi.dim, box=xi.box, values=values)
-    rows, cols = np.nonzero(~np.isnan(xi.values))
     report["xi"] = [
-        {"f": points[i], "g": points[j], "value": v}
-        for i, j, v in zip(rows.tolist(), cols.tolist(), xi.values[rows, cols].tolist())
+        row[i:][~np.isnan(row[i:])].tolist() for i, row in enumerate(xi.values)
     ]
     ok, defect = verify_cocycle(xi)
     stages["cocycle"] = {"ok": ok, "max_defect": defect}
@@ -739,9 +744,7 @@ def run_pipeline(
         "sweep_disagreement": gamma.sweep_disagreement,
         "reproduction_defect": repro,
     }
-    report["gamma"] = [
-        {"f": p, "value": v} for p, v in zip(points, gamma.values.tolist())
-    ]
+    report["gamma"] = gamma.values.tolist()
     if not stages["coboundary"]["ok"]:
         return report
 

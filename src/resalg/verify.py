@@ -24,7 +24,7 @@ from functools import partial, reduce
 import numpy as np
 
 from resalg import fock, symplectic
-from resalg.expr import DomainError, Expr, derivation, parse
+from resalg.expr import DomainError, Expr, check_dimension, derivation, parse
 
 FAMILY_ORDER = (
     "pseudo",
@@ -559,6 +559,12 @@ class Config:
             raise ConfigError(
                 f"every vector must have {2 * self.modes} coordinates"
             )
+        for probe in self.probes:  # a monomial's modes are checked when it runs
+            if not _PROBE_MONOMIAL.match(probe):
+                try:
+                    check_dimension(parse(probe), 2 * self.modes)
+                except ValueError as exc:
+                    raise ConfigError(f"bad probes: {probe!r}: {exc}") from exc
         fams = self.families
         if fams is not None:
             if not fams:

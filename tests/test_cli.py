@@ -23,6 +23,9 @@ from resalg.expr import parse
 # tests/golden/edge_cases.config.json, cohomology reports of
 # configs/gauge_quadratic.json; see README.md for their environment
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# the cohomology goldens in the first report schema, one dict per ordered
+# pair; kept to hold the current schema to the same values
+GOLDEN_V1 = GOLDEN / "v1"
 
 
 def run_cli(capsys, *argv):
@@ -147,7 +150,9 @@ def test_verify_nonstandard_space_exits_2(capsys, tmp_path):
      ("lambdas", [float("nan"), 1.0], "bad lambdas"),
      ("vectors", [[float("nan"), 0], [0, 1]], "bad vectors"),
      ("scales", [float("inf")], "bad scales"),
-     ("--tol", "inf", "bad tolerance")],
+     ("--tol", "inf", "bad tolerance"),
+     ("probes", ["R(1,[1,0]"], "bad probes: 'R(1,[1,0]': expected ')'"),
+     ("probes", ["Q1", "R(1,[1,0,0,0])"], "bad probes: 'R(1,[1,0,0,0])': letter has dimension 4")],
 )
 def test_verify_rejected_config_value_exits_2(capsys, tmp_path, key, value, message):
     # a key that starts with "--" is given as a command-line flag
@@ -336,6 +341,46 @@ def test_cohomology_report_bytes_match_goldens(tmp_path):
         assert reports[1] == golden, name
 
 
+def test_cohomology_report_holds_the_v1_golden_values(capsys, tmp_path):
+    # every xi and gamma value of the schema-1 goldens, bit for bit, and
+    # no xi value besides them
+    for name, flags, code in (
+        ("gauge_quadratic", (), 0), ("gauge_quadratic_corrupt", ("--corrupt-xi",), 1)
+    ):
+        path = tmp_path / f"{name}.json"
+        assert run_cli(
+            capsys, "cohomology", "--gauge", "configs/gauge_quadratic.json",
+            "--trunc", "16", *flags, "--out", str(path),
+        )[0] == code
+        v1 = json.loads((GOLDEN_V1 / f"{name}.cohomology.json").read_text())
+        v2 = json.loads(path.read_text())
+        assert v2["schema_version"] == 2
+        for key in ("box", "dim", "stages", "all_pass"):
+            assert v2[key] == v1[key], (name, key)
+        index = {tuple(p): i for i, p in enumerate(v2["points"])}
+        box = v2["box"]
+        rows = [
+            [j for j, q in enumerate(v2["points"][i:], i)
+             if all(abs(a + b) <= box for a, b in zip(p, q))]
+            for i, p in enumerate(v2["points"])
+        ]
+        xi = {
+            (i, j): value
+            for i, (row, cols) in enumerate(zip(v2["xi"], rows, strict=True))
+            for j, value in zip(cols, row, strict=True)
+        }
+        seen = set()
+        for entry in v1["xi"]:
+            i, j = sorted((index[tuple(entry["f"])], index[tuple(entry["g"])]))
+            assert xi[i, j] == entry["value"], (name, entry)
+            seen.add((i, j))
+        assert seen == set(xi), name
+        assert ("gamma" in v2) == ("gamma" in v1), name
+        for i, entry in enumerate(v1.get("gamma", ())):
+            assert index[tuple(entry["f"])] == i
+            assert v2["gamma"][i] == entry["value"], (name, entry)
+
+
 def test_cohomology_corrupt_xi_exits_1(capsys):
     code, out, err = run_cli(capsys, "cohomology", "--trunc", "16", "--corrupt-xi")
     assert code == 1
@@ -496,12 +541,18 @@ def test_schur_requires_an_operand(capsys):
 
 
 def test_schur_malformed_pair_exits_2(capsys):
-    code, _, err = run_cli(capsys, "schur", "--pair", "1,0", "--trunc", "16")
-    assert code == 2
     code, out, err = run_cli(capsys, "schur", "--pair", "nan,0;0,1", "--trunc", "16")
     assert code == 2
     assert out == ""
     assert err.startswith("config error: bad vector 'nan,0'")
+
+
+@pytest.mark.parametrize("pair, count", [("1,0", 1), ("1,0;0,1;1,1", 3)])
+def test_schur_pair_of_the_wrong_number_of_vectors_exits_2(capsys, pair, count):
+    code, out, err = run_cli(capsys, "schur", "--pair", pair, "--trunc", "16")
+    assert code == 2
+    assert out == ""
+    assert err == f'config error: --pair takes two vectors "f1,f2;g1,g2", got {count}\n'
 
 
 # ---------------------------------------------------------------------------

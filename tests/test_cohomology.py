@@ -728,5 +728,28 @@ def test_pipeline_random_gauges(rep):
 def test_pipeline_report_is_json_ready(rep):
     report = coh.run_pipeline(rep, coh.quadratic_gauge(2, 2))
     text = json.dumps(report, sort_keys=True)
-    assert json.loads(text)["schema_version"] == 1
-    assert any(entry["value"] == -2.0 for entry in report["xi"])
+    assert json.loads(text)["schema_version"] == 2
+    assert any(value == -2.0 for row in report["xi"] for value in row)
+
+
+def test_pipeline_report_writes_each_pair_once():
+    # schema 2: one point list, and xi row i holds xi(p_i, p_j) for j >= i
+    # with p_i + p_j in the box, so each unordered pair appears once
+    dim, box = 4, 1
+    gauge = coh.random_gauge(dim, box, seed=2)
+    report = json.loads(json.dumps(coh.run_pipeline(fock.build_rep(2, 8), gauge)))
+    points = lattice(dim, box)
+    assert report["all_pass"]
+    assert report["points"] == [list(p) for p in points]
+    pairs = [
+        [(f, g) for g in points[i:] if _in_box(_add(f, g), box)]
+        for i, f in enumerate(points)
+    ]
+    assert sum(len(row) for row in report["xi"]) == sum(map(len, pairs))
+    # gamma is aligned with the points: its coboundary reproduces each row
+    gamma = dict(zip(points, report["gamma"], strict=True))
+    for row, row_pairs in zip(report["xi"], pairs, strict=True):
+        assert row == pytest.approx([closed_form_xi(gauge, f, g) for f, g in row_pairs])
+        assert row == pytest.approx(
+            [gamma[f] + gamma[g] - gamma[_add(f, g)] for f, g in row_pairs]
+        )
