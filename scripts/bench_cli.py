@@ -10,8 +10,9 @@ drift of the machine touches both alike, and the median of each command's
 runs is reported.
 
 The commands are `verify` on the `quick`, `default` and `two_mode` configs,
-`cohomology` with one mode at the defaults and with two modes (N=8, zero
-gauge of box 2), and one `eval`.  Reports go to a scratch file, not to the
+`cohomology` with one mode at the defaults and with two modes (N=8, box 2)
+on the zero gauge and on `random_gauge(4, 2, seed=1)`, whose report is about
+four times larger, and one `eval`.  Reports go to a scratch file, not to the
 terminal.  BLAS runs at its default threading unless OPENBLAS_NUM_THREADS is
 set beforehand; the environment (CPUs, BLAS libraries and their thread
 counts) is recorded with the timings, since the numbers compare only within
@@ -47,13 +48,16 @@ COMMANDS = {
     "cohomology_1m": ["cohomology"],
     "cohomology_2m_box2": ["cohomology", "--config", "configs/two_mode.json", "--trunc", "8",
                            "--gauge", "{gauge}"],
+    "cohomology_2m_box2_random": ["cohomology", "--config", "configs/two_mode.json",
+                                  "--trunc", "8", "--gauge", "{random_gauge}"],
     "eval": ["eval", "R(1,[1,0])*R(-2,[0.5,1])", "--trunc", "64"],
 }
 
 
 def run_once(src: str, argv: list, scratch: pathlib.Path) -> tuple:
     """(wall seconds, peak RSS in MB, exit code) of one cold CLI run."""
-    argv = [a.replace("{gauge}", str(scratch / "gauge.json")) for a in argv]
+    # "{name}" stands for the gauge file scratch/name.json
+    argv = [str(scratch / f"{a[1:-1]}.json") if a.startswith("{") else a for a in argv]
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
     proc = subprocess.Popen(
@@ -117,6 +121,8 @@ def main(argv=None) -> int:
         from resalg import cohomology
 
         (scratch / "gauge.json").write_text(cohomology.gauge_to_json(cohomology.zero_gauge(4, 2)))
+        (scratch / "random_gauge.json").write_text(
+            cohomology.gauge_to_json(cohomology.random_gauge(4, 2, seed=1)))
         for name, command in COMMANDS.items():
             runs = {label: [] for label in trees}
             for _ in range(args.runs):
@@ -135,7 +141,7 @@ def main(argv=None) -> int:
                     "median_peak_rss_mb": statistics.median(rss),
                 }
                 results.append(row)
-                print(f"{name:<20s} {label:<10s} wall {row['median_wall_s']:6.3f} s  "
+                print(f"{name:<26s} {label:<10s} wall {row['median_wall_s']:6.3f} s  "
                       f"peak RSS {row['median_peak_rss_mb']:6.1f} MB  exit {row['exit_codes']}",
                       flush=True)
     payload = {"environment": environment(), "runs": args.runs, "results": results}

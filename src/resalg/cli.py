@@ -106,7 +106,6 @@ def cmd_cohomology(args) -> int:
             raise verify.ConfigError(f"gauge file not found: {path}")
         try:
             gauge = cohomology.gauge_from_json(path.read_text())
-            cohomology.require_full_box(gauge)
         except ValueError as exc:
             raise verify.ConfigError(f"bad gauge file: {exc}") from exc
     else:

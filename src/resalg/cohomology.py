@@ -13,11 +13,13 @@ recoverable scalar shift.
 
 Everything runs on an integer lattice box [-B,B]^d.  Every lattice table
 (the gauge, the potential, the family shifts, and xi with one axis per
-argument) is a float array in `lattice_points` order, NaN where undefined;
-the point -p sits at the mirrored index of p.  Only the JSON gauge files and
-the report name points as coordinate lists.  All extractions go through
-scalar probing of the candidate operator rather than reading the closed
-form, so the tests can use the closed form as an independent oracle.
+argument) is a float array in `lattice_points` order.  The gauge, the
+potential and the shifts are total on the box, so each of their lattice
+identities is one coboundary delta (`_coboundary`); only xi holds NaN, at
+the pairs whose sum leaves the box.  Only the JSON gauge files and the
+report name points as coordinate lists.  All extractions go through scalar
+probing of the candidate operator rather than reading the closed form, so
+the tests can use the closed form as an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -73,10 +76,6 @@ def lattice_points(dim: int, box: int):
     return list(itertools.product(range(-box, box + 1), repeat=dim))
 
 
-def _add(p, q):
-    return tuple(a + b for a, b in zip(p, q))
-
-
 def _index(f, box: int):
     """Position of f in `lattice_points` order; None unless f is an integer
     point of the box."""
@@ -117,17 +116,32 @@ def _point_index(coords, box: int) -> np.ndarray:
     return np.where(inside, index, -1)
 
 
+@cache
 def _addition_table(dim: int, box: int) -> np.ndarray:
-    """Points x points table of the index of p_i + p_j, -1 outside the box."""
+    """Points x points table of the index of p_i + p_j, -1 outside the box;
+    built once per (dim, box) and read-only."""
     coords = np.array(lattice_points(dim, box), dtype=np.intp).reshape(-1, dim)
-    return _point_index((x[:, None] + x[None, :] for x in coords.T), box)
+    table = _point_index((x[:, None] + x[None, :] for x in coords.T), box)
+    table.setflags(write=False)
+    return table
+
+
+def _coboundary(v: np.ndarray, dim: int, box: int) -> np.ndarray:
+    """delta v(f, g) = v(f) + v(g) - v(f+g) of a lattice table v, as a points
+    x points table, NaN at the pairs whose sum leaves the box.  Raises
+    KeyError where v is NaN at a point a pair inside the box needs."""
+    add = _addition_table(dim, box)
+    delta = np.where(add >= 0, v[:, None] + v[None, :] - v[add], np.nan)
+    if np.any(np.isnan(delta) & (add >= 0)):
+        raise KeyError("table undefined at a point of the box")
+    return delta
 
 
 @dataclass(frozen=True)
 class _Table:
-    """Lattice table: one `lattice_points` axis per argument (`rank` of
-    them), NaN where undefined; stored read-only.  Raises ValueError for a
-    table of the wrong shape or with an infinite value."""
+    """Lattice table, one `lattice_points` axis per argument (`rank` of them),
+    read-only; only xi holds NaN.  Raises ValueError for a table of the wrong
+    shape or with an infinite value."""
 
     dim: int
     box: int
@@ -154,8 +168,9 @@ class _Table:
 
 @dataclass(frozen=True)
 class GaugeFunction(_Table):
-    """Real constant per lattice point; vanishes at the origin, which takes
-    0 when undefined, and its domain is closed under negation."""
+    """Real constant at every point of the lattice box; vanishes at the
+    origin, which takes 0 when undefined.  Raises ValueError naming the first
+    other point where the table is NaN."""
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -166,23 +181,13 @@ class GaugeFunction(_Table):
         super().__post_init__()
         if values[origin] != 0.0:
             raise ValueError("gauge must vanish at the origin")
-        defined = ~np.isnan(values)
-        unpaired = np.flatnonzero(defined & ~defined[::-1])
-        if unpaired.size:
-            p = lattice_points(self.dim, self.box)[unpaired[0]]
-            raise ValueError(f"gauge domain not closed under negation at {p}")
-
-
-def require_full_box(gauge: GaugeFunction) -> None:
-    """Raises ValueError naming the first point of the lattice box where the
-    gauge is undefined; the pipeline reads the gauge on the whole box."""
-    missing = np.flatnonzero(np.isnan(gauge.values))
-    if missing.size:
-        p = lattice_points(gauge.dim, gauge.box)[missing[0]]
-        raise ValueError(
-            f"gauge undefined at {p}; the pipeline needs a value at every "
-            f"point of the box [-{gauge.box}, {gauge.box}]^{gauge.dim}"
-        )
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            p = lattice_points(self.dim, self.box)[missing[0]]
+            raise ValueError(
+                f"gauge undefined at {p}; the pipeline needs a value at every "
+                f"point of the box [-{self.box}, {self.box}]^{self.dim}"
+            )
 
 
 def zero_gauge(dim: int, box: int = DEFAULT_BOX) -> GaugeFunction:
@@ -203,11 +208,7 @@ def random_gauge(dim: int, box: int = DEFAULT_BOX, seed: int = 0) -> GaugeFuncti
 
 def gauge_to_json(gauge: GaugeFunction) -> str:
     points = lattice_points(gauge.dim, gauge.box)
-    defined = np.flatnonzero(~np.isnan(gauge.values))
-    entries = [
-        {"f": list(points[i]), "c": c}
-        for i, c in zip(defined.tolist(), gauge.values[defined].tolist())
-    ]
+    entries = [{"f": list(p), "c": c} for p, c in zip(points, gauge.values.tolist())]
     return json.dumps(entries, sort_keys=True)
 
 
@@ -250,28 +251,23 @@ def gauge_from_json(text: str) -> GaugeFunction:
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """Family f -> G_f + s(f)*1 with shifts tabulated on the lattice box, in
-    `lattice_points` order and NaN where undefined.
-
-    With ray_linear set, a multiple c * e_axis of a basis direction that is
-    off the lattice takes the linear extension c * s(e_axis).
+    """Family f -> G_f + s(f)*1 with shifts tabulated at every point of the
+    lattice box, in `lattice_points` order.  A multiple c * e_axis of a basis
+    direction that is off the lattice takes the linear extension
+    c * s(e_axis); any other point off the lattice raises KeyError.
     """
 
     rep: fock.FockRep
     box: int
     lattice_shifts: np.ndarray
-    ray_linear: bool = False
 
     def shift(self, f) -> float:
-        try:
-            return _lookup(self.lattice_shifts, self.box, "family shift", f)
-        except KeyError:
-            live = [(ax, float(x)) for ax, x in enumerate(f) if abs(x) > _INT_EPS]
-            if not (self.ray_linear and len(live) == 1):
-                raise
-        axis, c = live[0]
-        unit = _basis(len(tuple(f)), axis)
-        return c * _lookup(self.lattice_shifts, self.box, "family shift", unit)
+        live = [(ax, float(x)) for ax, x in enumerate(f) if abs(x) > _INT_EPS]
+        scale = 1.0
+        if len(live) == 1 and _index(f, self.box) is None:  # c * e_axis off the lattice
+            [(axis, scale)] = live
+            f = _basis(len(f), axis)
+        return scale * _lookup(self.lattice_shifts, self.box, "family shift", f)
 
     def values(self, f) -> np.ndarray:
         """G_f + s(f)*1 as values on the representation's row stencil."""
@@ -295,8 +291,7 @@ def corrected_family(
     rep: fock.FockRep, gauge: GaugeFunction, gamma: "Coboundary"
 ) -> OperatorFamily:
     """Shifts chi = c - gamma; additive on the lattice, linear along rays."""
-    shifts = gauge.values - gamma.values
-    return OperatorFamily(rep, gauge.box, shifts, ray_linear=True)
+    return OperatorFamily(rep, gauge.box, gauge.values - gamma.values)
 
 
 # ---------------------------------------------------------------------------
@@ -482,36 +477,20 @@ def solve_coboundary(xi: Cocycle) -> Coboundary:
 
 
 def coboundary_defect(xi: Cocycle, gamma: Coboundary) -> float:
-    """Max pointwise error of the defining equation over all stored pairs."""
-    t, potential = xi.values, gamma.values
-    rows, cols = np.nonzero(~np.isnan(t))
-    sums = _addition_table(xi.dim, xi.box)[rows, cols]
-    recon = potential[rows] + potential[cols] - potential[sums]
-    if np.any((sums < 0) | np.isnan(recon)):
-        raise KeyError("coboundary undefined at a point the cocycle needs")
-    return max(0.0, float(np.max(np.abs(recon - t[rows, cols]), initial=0.0)))
-
-
-def _additivity_defects(v: np.ndarray, dim: int, box: int):
-    """v(f) + v(g) - v(f+g) for a lattice table v over the pairs f <= g
-    (lattice order) of its domain with f+g in the box; returns (rows, cols,
-    defects) with rows, cols the points' lattice indices, in row-major pair
-    order."""
-    add = _addition_table(dim, box)
-    domain = ~np.isnan(v)
-    rows, cols = np.nonzero(np.triu(domain[:, None] & domain[None, :] & (add >= 0)))
-    defects = v[rows] + v[cols] - v[add[rows, cols]]
-    if np.any(np.isnan(defects)):
-        raise KeyError("table undefined at a sum of two points of its domain")
-    return rows, cols, defects
+    """Max pointwise error of the defining equation over all stored pairs;
+    KeyError when a stored pair's sum leaves the box."""
+    t = xi.values
+    gap = _coboundary(gamma.values, xi.dim, xi.box) - t
+    if np.any(np.isnan(gap) & ~np.isnan(t)):
+        raise KeyError("cocycle table stores a pair whose sum leaves the box")
+    return float(np.nanmax(np.abs(gap), initial=0.0))
 
 
 def character_defect(gauge: GaugeFunction, gamma: Coboundary) -> float:
     """Additivity defect of chi = gamma - c; zero means gamma differs from
     the gauge by an exactly additive character."""
     chi = gamma.values - gauge.values
-    _, _, defects = _additivity_defects(chi, gauge.dim, gauge.box)
-    return max(0.0, float(np.max(np.abs(defects), initial=0.0)))
+    return float(np.nanmax(np.abs(_coboundary(chi, gauge.dim, gauge.box)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -624,17 +603,18 @@ def improve_family(
     points = lattice_points(gauge.dim, gauge.box)
     theta = 0.0 if homogeneity is None else [homogeneity.theta(p) for p in points]
     shifts = gauge.values - gamma.values - np.asarray(theta)
-    improved = OperatorFamily(rep, gauge.box, shifts, ray_linear=True)
+    improved = OperatorFamily(rep, gauge.box, shifts)
     values = improved.values
 
-    rows, cols, defects = _additivity_defects(shifts, gauge.dim, gauge.box)
-    worst = max(0.0, float(np.max(np.abs(defects), initial=0.0)))
+    defects = _coboundary(shifts, gauge.dim, gauge.box)
+    worst = float(np.nanmax(np.abs(defects), initial=0.0))
     if worst > IMPROVE_TOL:
         raise ImprovementError(f"improved family not additive (defect {worst:.3e})")
+    rows, cols = np.nonzero(np.triu(~np.isnan(defects)))  # the pairs f <= g in the box
     step = max(1, len(rows) // _MATRIX_SAMPLES)
     for i, j in zip(rows[::step].tolist(), cols[::step].tolist()):
         f, g = points[i], points[j]
-        defect = np.linalg.norm(values(f) + values(g) - values(_add(f, g)))
+        defect = np.linalg.norm(values(f) + values(g) - values(np.add(f, g)))
         if defect > IMPROVE_TOL:
             raise ImprovementError(f"matrix additivity defect {defect:.3e} at {f}, {g}")
     for axis in range(gauge.dim):

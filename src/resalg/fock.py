@@ -15,9 +15,9 @@ identities, is stored as its values on one row stencil (`FockRep`) that all
 of them and the identity share, so a generator G_f or a shifted iz + G_f is
 one weighted sum of value arrays (`PatternMatrix`).  A resolvent
 (`ResolventSolver`) applies (iz + G_f)^-1 to blocks of columns without
-forming it: with one mode by the LAPACK tridiagonal LU (?gttrf/?gttrs) of
-iz + G_f, with two or more by the eigenbasis of one mode's truncated Q
-(`FockRep.basis`).  Dense matrices are formed only on request: full
+forming it: with one mode of N >= 3 by the LAPACK tridiagonal LU
+(?gttrf/?gttrs) of iz + G_f, otherwise by the eigenbasis of one mode's
+truncated Q (`FockRep.basis`).  Dense matrices are formed only on request: full
 resolvents and evaluated expressions.  No scipy package is imported: LAPACK
 comes from scipy's extension module (`lapack`).
 """
@@ -178,18 +178,19 @@ def _probes(dim: int) -> np.ndarray:
 
 def _spectral(rep: FockRep) -> bool:
     """The backend choice of `ResolventSolver`, by its cost model."""
-    return rep.modes > 1
+    return rep.modes > 1 or rep.levels < 3
 
 
 class ResolventSolver:
     """Applies R = (iz + G_f)^-1 to blocks of columns without forming it.
 
-    One mode: iz + G_f is tridiagonal.  LAPACK ?gttrf factors it in O(N) by
-    Gaussian elimination with partial pivoting, which is backward stable
-    (Higham 2002, section 9.5), and a ?gttrs solve costs O(1) per column
-    entry, which no dense basis matches.
+    One mode of three or more levels: iz + G_f is tridiagonal.  LAPACK
+    ?gttrf factors it in O(N) by Gaussian elimination with partial pivoting,
+    which is backward stable (Higham 2002, section 9.5), and a ?gttrs solve
+    costs O(1) per column entry, which no dense basis matches.
 
-    Two or more modes: the Kronecker-spectral form.  The number operator is
+    Two or more modes, and one mode of N=2 (scipy's ?gttrf wrapper rejects
+    n=2): the Kronecker-spectral form.  The number operator is
     diagonal, so a Q + b P = r e^{i theta N} Q e^{-i theta N} exactly on the
     truncated space, with a = r cos(theta), b = r sin(theta).  With
     Q = U diag(x) U^T (`FockRep.basis`) and G_f a Kronecker sum over modes,

@@ -594,6 +594,20 @@ def test_eval_json_file(capsys, tmp_path):
     assert np.linalg.norm(matrix - expected) < 1e-12
 
 
+def test_one_mode_of_two_levels_runs(capsys):
+    # N=2 at one mode passes validation, so it must run: every check gets a
+    # verdict rather than an error entry, and eval prints the resolvent
+    code, out, _ = run_cli(capsys, "verify", "--trunc", "2,3", "--compress", "2")
+    assert code in (0, 1)
+    checks = json.loads(out)["checks"]
+    assert checks and not any("error" in check for check in checks)
+    code, out, err = run_cli(capsys, "eval", "R(1,[1,0])", "--trunc", "2")
+    assert (code, err) == (0, "")
+    matrix = fock.matrix_from_json(json.loads(out)["matrix"])
+    dense = fock.generator(fock.build_rep(1, 2), (1.0, 0.0)).toarray() + 1j * np.eye(2)
+    assert np.linalg.norm(matrix - np.linalg.inv(dense)) < 1e-14
+
+
 def test_eval_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "R(oops", "--trunc", "8")
     assert code == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,14 +186,22 @@ def test_gauge_constructors():
 
 
 def test_gauge_validation():
+    full = {p: 0.1 * (i + 1) for i, p in enumerate(lattice(2, 1)) if any(p)}
     with pytest.raises(ValueError):
         coh.GaugeFunction(2, 1, np.zeros(8))  # the box [-1,1]^2 has 9 points
-    with pytest.raises(ValueError):
-        coh.GaugeFunction(2, 1, lattice_table(2, 1, {(0, 0): 0.5}))  # origin != 0
-    with pytest.raises(ValueError):
-        coh.GaugeFunction(2, 1, lattice_table(2, 1, {(1, 0): 1.0}))  # (-1,0) missing
-    gauge = coh.GaugeFunction(2, 1, lattice_table(2, 1, {(1, 0): 1.0, (-1, 0): 2.0}))
-    assert gauge.value((0, 0)) == 0.0  # origin inserted automatically
+    with pytest.raises(ValueError, match="vanish at the origin"):
+        coh.GaugeFunction(2, 1, lattice_table(2, 1, {**full, (0, 0): 0.5}))
+    # a gauge is total on its box: a missing point other than the origin is
+    # an error that names the first such point
+    for missing in ((1, 0), (-1, -1), (1, 1)):
+        partial = {p: v for p, v in full.items() if p != missing}
+        with pytest.raises(ValueError, match=re.escape(f"gauge undefined at {missing}")):
+            coh.GaugeFunction(2, 1, lattice_table(2, 1, partial))
+    with pytest.raises(ValueError, match=re.escape("gauge undefined at (-1, -1)")):
+        coh.GaugeFunction(2, 1, lattice_table(2, 1, {(1, 0): 1.0, (-1, 0): 2.0}))
+    gauge = coh.GaugeFunction(2, 1, lattice_table(2, 1, full))
+    assert gauge.value((0, 0)) == 0.0  # the origin alone may be missing: it takes 0
+    assert gauge.value((1, -1)) == full[(1, -1)]
     with pytest.raises(KeyError):
         gauge.value((0.5, 0.0))
 
@@ -344,31 +353,38 @@ def test_lattice_checks_equal_reference_loops(random_setup):
     assert coh.character_defect(gauge, other) == loop_character_defect(gauge, other)
 
 
-def test_additivity_defects_equal_reference_loop(random_setup):
-    # improve_family's pair list and scalar defects, on a full lattice
-    # domain and on a domain that is one axis of the box
+def test_addition_table_is_built_once_and_read_only():
+    table = coh._addition_table(2, 3)
+    assert coh._addition_table(2, 3) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    points = lattice(2, 3)
+    for i, f in enumerate(points):
+        for j, g in enumerate(points):
+            total = _add(f, g)
+            assert table[i, j] == (at(3, total)[0] if _in_box(total, 3) else -1)
+
+
+def test_coboundary_equals_reference_loop(random_setup):
+    # delta v(f, g) = v(f) + v(g) - v(f+g) for a full random lattice table:
+    # the same bits as the per-pair expression, NaN where f+g leaves the box
     gauge, _, gamma = random_setup
-    axis_values = {(k, 0): 0.1 * k * k + 0.3 * (k > 0) for k in range(-3, 4)}
-    axis_only = coh.GaugeFunction(2, 3, lattice_table(2, 3, axis_values))
     box = 3
-    for gauge_ in (gauge, axis_only):
-        values = gauge_.values - gamma.values
-        domain = [p for p in lattice(2, box) if not np.isnan(values[at(box, p)])]
-        pairs = [
-            (f, g)
-            for f, g in itertools.combinations_with_replacement(domain, 2)
-            if _in_box(_add(f, g), box)
-        ]
-        rows, cols, defects = coh._additivity_defects(values, 2, box)
-        points = lattice(2, box)
-        assert [(points[i], points[j]) for i, j in zip(rows, cols)] == pairs
-        assert defects.tolist() == [
-            values[at(box, f)] + values[at(box, g)] - values[at(box, _add(f, g))]
-            for f, g in pairs
-        ]
-    sparse = coh.GaugeFunction(2, 2, lattice_table(2, 2, {(1, 0): 1.0, (-1, 0): 2.0}))
-    with pytest.raises(KeyError):  # (1,0) + (1,0) is off the domain
-        coh._additivity_defects(sparse.values, 2, 2)
+    values = gauge.values - gamma.values
+    delta = coh._coboundary(values, 2, box)
+    for f, g in itertools.product(lattice(2, box), repeat=2):
+        got = delta[at(box, f, g)]
+        if not _in_box(_add(f, g), box):
+            assert np.isnan(got)
+            continue
+        assert got == values[at(box, f)] + values[at(box, g)] - values[at(box, _add(f, g))]
+    # a NaN anywhere in the box is needed by some pair, and never skipped
+    for p in ((0, 0), (3, -3), (1, 2)):
+        holed = values.copy()
+        holed[at(box, p)] = np.nan
+        with pytest.raises(KeyError):
+            coh._coboundary(holed, 2, box)
 
 
 def test_verify_cocycle_missing_pairs_raise_like_the_loop(random_setup):
@@ -525,7 +541,7 @@ def test_zeta_injection_round_trip(rep, random_setup):
     grid = (0.0, 1.0, s2, 1.0 + s2)
     injected = {s2: 0.3, 1.0 + s2: 0.3}
     table = {c: fam.shift((c, 0.0)) + injected.get(c, 0.0) for c in grid}
-    fam2 = RayInjected(fam.rep, fam.box, fam.lattice_shifts, fam.ray_linear, table)
+    fam2 = RayInjected(fam.rep, fam.box, fam.lattice_shifts, table)
     recovered = coh.extract_zeta(fam2, 0, grid)
     assert abs(recovered[coh._ray_key(s2)] - 0.3) < 1e-10
     assert abs(recovered[coh._ray_key(1.0 + s2)] - 0.3) < 1e-10
@@ -544,7 +560,7 @@ def test_zeta_detects_nonadditive_injection(rep, random_setup):
     gauge, _, gamma = random_setup
     fam = coh.corrected_family(rep, gauge, gamma)
     table = {0.5: fam.shift((0.5, 0.0)) + 0.3}
-    fam2 = RayInjected(fam.rep, fam.box, fam.lattice_shifts, fam.ray_linear, table)
+    fam2 = RayInjected(fam.rep, fam.box, fam.lattice_shifts, table)
     with pytest.raises(coh.AdditivityError):
         coh.extract_zeta(fam2, 0, (0.0, 0.5, 1.0))
 

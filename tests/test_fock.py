@@ -342,6 +342,19 @@ def test_multi_mode_solvers_use_the_spectral_backend():
     assert fock.ResolventSolver(fock.build_rep(2, 8), 1.0, (1.0,) * 4)._lu is None
 
 
+def test_one_mode_of_two_levels_uses_the_spectral_backend():
+    # scipy's ?gttrf wrapper rejects a matrix of order 2, so one mode at N=2
+    # is solved in the eigenbasis, like two or more modes
+    rep = fock.build_rep(1, 2)
+    z, f = 1.0 - 0.5j, (1.0, -0.5)
+    solver = fock.ResolventSolver(rep, z, f)
+    assert solver._lu is None
+    assert solver.backward_error <= 1e-14
+    expected = np.linalg.inv(fock.generator(rep, f).toarray() + 1j * z * np.eye(2))
+    assert np.linalg.norm(solver.matrix() - expected) <= 1e-14 * np.linalg.norm(expected)
+    assert fock.ResolventSolver(fock.build_rep(1, 3), z, f)._lu is not None
+
+
 def test_tridiagonal_backend_rejects_more_than_one_mode(monkeypatch):
     # iz + G_f is tridiagonal only for one mode; forcing the LU branch on
     # two modes must fail loudly, not factor the wrong bands
