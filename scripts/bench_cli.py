@@ -12,7 +12,8 @@ runs is reported.
 The commands are `verify` on the `quick`, `default` and `two_mode` configs,
 `cohomology` with one mode at the defaults and with two modes (N=8, box 2)
 on the zero gauge and on `random_gauge(4, 2, seed=1)`, whose report is about
-four times larger, and one `eval`.  Reports go to a scratch file, not to the
+four times larger, with two modes on `random_gauge(4, 3, seed=1)` (box 3,
+2401 lattice points), and one `eval`.  Reports go to a scratch file, not to the
 terminal.  BLAS runs at its default threading unless OPENBLAS_NUM_THREADS is
 set beforehand; the environment (CPUs, BLAS libraries and their thread
 counts) is recorded with the timings, since the numbers compare only within
@@ -50,6 +51,8 @@ COMMANDS = {
                            "--gauge", "{gauge}"],
     "cohomology_2m_box2_random": ["cohomology", "--config", "configs/two_mode.json",
                                   "--trunc", "8", "--gauge", "{random_gauge}"],
+    "cohomology_2m_box3_random": ["cohomology", "--config", "configs/two_mode.json",
+                                  "--trunc", "8", "--gauge", "{random_gauge_box3}"],
     "eval": ["eval", "R(1,[1,0])*R(-2,[0.5,1])", "--trunc", "64"],
 }
 
@@ -123,6 +126,8 @@ def main(argv=None) -> int:
         (scratch / "gauge.json").write_text(cohomology.gauge_to_json(cohomology.zero_gauge(4, 2)))
         (scratch / "random_gauge.json").write_text(
             cohomology.gauge_to_json(cohomology.random_gauge(4, 2, seed=1)))
+        (scratch / "random_gauge_box3.json").write_text(
+            cohomology.gauge_to_json(cohomology.random_gauge(4, 3, seed=1)))
         for name, command in COMMANDS.items():
             runs = {label: [] for label in trees}
             for _ in range(args.runs):

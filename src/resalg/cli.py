@@ -114,6 +114,10 @@ def cmd_cohomology(args) -> int:
         raise verify.ConfigError(
             f"gauge dimension {gauge.dim} does not match {config.modes} mode(s)"
         )
+    if args.corrupt_xi and gauge.box < 2:  # the fault goes on xi(e_1, e_1)
+        raise verify.ConfigError(
+            f"--corrupt-xi needs a gauge box of radius >= 2; this one has radius {gauge.box}"
+        )
     rep = fock.build_rep(config.modes, config.truncations[0], config.max_dim)
     report = cohomology.run_pipeline(
         rep,

@@ -49,6 +49,10 @@ _INT_EPS = 1e-9
 _RAY_KEY_DIGITS = 12
 # in-box pairs whose additivity improve_family also checks by matrix norms
 _MATRIX_SAMPLES = 12
+# entries of each temporary of a chunked pass over pairs: pairs x probed
+# entries in `build_cocycle` (256 KB of complex values), pairs x shifts in
+# `verify_cocycle` and rows x points in `_coboundary` (128 KB of doubles)
+_CHUNK_ENTRIES = 2**14
 
 
 class NotScalarError(RuntimeError):
@@ -74,6 +78,11 @@ class ReconstructionError(RuntimeError):
 def lattice_points(dim: int, box: int):
     """All integer-coordinate points of [-box, box]^dim, lexicographic."""
     return list(itertools.product(range(-box, box + 1), repeat=dim))
+
+
+def _coords(dim: int, box: int) -> np.ndarray:
+    """`lattice_points` as a points x dim integer array."""
+    return np.array(lattice_points(dim, box), dtype=np.intp).reshape(-1, dim)
 
 
 def _index(f, box: int):
@@ -119,9 +128,11 @@ def _point_index(coords, box: int) -> np.ndarray:
 @cache
 def _addition_table(dim: int, box: int) -> np.ndarray:
     """Points x points table of the index of p_i + p_j, -1 outside the box;
-    built once per (dim, box) and read-only."""
-    coords = np.array(lattice_points(dim, box), dtype=np.intp).reshape(-1, dim)
-    table = _point_index((x[:, None] + x[None, :] for x in coords.T), box)
+    built once per (dim, box), a row at a time, and read-only."""
+    coords = _coords(dim, box)
+    table = np.empty((len(coords),) * 2, dtype=np.intp)
+    for row, p in zip(table, coords):
+        row[:] = _point_index((p + coords).T, box)
     table.setflags(write=False)
     return table
 
@@ -131,8 +142,13 @@ def _coboundary(v: np.ndarray, dim: int, box: int) -> np.ndarray:
     x points table, NaN at the pairs whose sum leaves the box.  Raises
     KeyError where v is NaN at a point a pair inside the box needs."""
     add = _addition_table(dim, box)
-    delta = np.where(add >= 0, v[:, None] + v[None, :] - v[add], np.nan)
-    if np.any(np.isnan(delta) & (add >= 0)):
+    delta = np.add.outer(v, v)
+    step = max(1, _CHUNK_ENTRIES // len(v))
+    for start in range(0, len(v), step):  # no points x points gather of v
+        delta[start : start + step] -= v[add[start : start + step]]
+    inside = add >= 0
+    delta[~inside] = np.nan
+    if np.any(np.isnan(delta) & inside):
         raise KeyError("table undefined at a point of the box")
     return delta
 
@@ -184,10 +200,14 @@ class GaugeFunction(_Table):
         missing = np.flatnonzero(np.isnan(values))
         if missing.size:
             p = lattice_points(self.dim, self.box)[missing[0]]
-            raise ValueError(
-                f"gauge undefined at {p}; the pipeline needs a value at every "
-                f"point of the box [-{self.box}, {self.box}]^{self.dim}"
-            )
+            raise ValueError(_undefined_at(p, self.dim, self.box))
+
+
+def _undefined_at(p, dim: int, box: int) -> str:
+    return (
+        f"gauge undefined at {p}; the pipeline needs a value at every "
+        f"point of the box [-{box}, {box}]^{dim}"
+    )
 
 
 def zero_gauge(dim: int, box: int = DEFAULT_BOX) -> GaugeFunction:
@@ -215,7 +235,8 @@ def gauge_to_json(gauge: GaugeFunction) -> str:
 def gauge_from_json(text: str) -> GaugeFunction:
     """Reads a list of {"f": point, "c": value}; the box is the largest
     coordinate, at least 1.  Raises ValueError for an entry of another form,
-    a point that is not a list of integers, or a value that is not finite."""
+    a point that is not a list of integers, a value that is not finite, or
+    a point of the box (other than the origin) that the file leaves out."""
     entries = json.loads(text)
     if not isinstance(entries, list) or not entries:
         raise ValueError("gauge file must be a nonempty JSON list")
@@ -231,17 +252,24 @@ def gauge_from_json(text: str) -> GaugeFunction:
     if any(len(p) != dim for p in points):
         raise ValueError("inconsistent vector lengths in gauge file")
     coords = np.array(points).reshape(-1, dim)
-    off = np.flatnonzero(np.any(coords % 1.0 != 0.0, axis=1))
+    off = np.flatnonzero(np.any(~np.isfinite(coords) | (np.trunc(coords) != coords), axis=1))
     if off.size:
         raise ValueError(f"gauge point {entries[off[0]]['f']} is not an integer point")
-    coords = coords.astype(np.intp)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         n = bad[0]
-        raise ValueError(f"gauge value {values[n]} at {tuple(coords[n].tolist())} not finite")
+        raise ValueError(f"gauge value {values[n]} at {tuple(map(int, coords[n]))} not finite")
     box = max(1, int(np.abs(coords).max(initial=0)))
+    side = 2 * box + 1
+    if side**dim > len(entries) + 1:
+        # too few entries to fill the box (the origin may be left out): name
+        # the first missing point by its lattice index, with no box table
+        weights = [side ** (dim - 1 - k) for k in range(dim)]
+        given = {sum((int(x) + box) * w for x, w in zip(p, weights)) for p in coords.tolist()}
+        i = next(i for i in itertools.count() if i not in given and i != side**dim // 2)
+        raise ValueError(_undefined_at(tuple(i // w % side - box for w in weights), dim, box))
     table = np.full((2 * box + 1) ** dim, np.nan)
-    table[_point_index(coords.T, box)] = values
+    table[_point_index(coords.astype(np.intp).T, box)] = values
     return GaugeFunction(dim, box, table)
 
 
@@ -269,6 +297,11 @@ class OperatorFamily:
             f = _basis(len(f), axis)
         return scale * _lookup(self.lattice_shifts, self.box, "family shift", f)
 
+    def rows(self, points) -> np.ndarray:
+        """`values` at each row of `points`, one `_family_rows` pass."""
+        points = np.asarray(points, dtype=float)
+        return _family_rows(self.rep, points, [self.shift(p) for p in points.tolist()])
+
     def values(self, f) -> np.ndarray:
         """G_f + s(f)*1 as values on the representation's row stencil."""
         data = fock.generator_values(self.rep, f)
@@ -279,6 +312,19 @@ class OperatorFamily:
         # (iz + G_f + s)^{-1} is the plain solve at z shifted by -i*s
         shifted = complex(z) - 1j * self.shift(f)
         return fock.ResolventSolver(self.rep, shifted, f).matrix()
+
+
+def _family_rows(rep: fock.FockRep, points, shifts) -> np.ndarray:
+    """G_p + s*1 on the row stencil for each row p of `points` and its shift
+    s in `shifts`, as a points x slots x dim array.  Axis by axis it takes
+    the element-wise steps of `fock.generator_values`, then adds the shifts
+    on the diagonal, so each row has the bits of `OperatorFamily.values`."""
+    pts = np.asarray(points, dtype=float).reshape(len(shifts), rep.space.dim)
+    data = np.zeros((len(pts), *rep.cols.shape), dtype=complex)
+    for k, values in enumerate(rep.entries):
+        data += pts[:, k, None, None] * values
+    data[:, rep.diagonal] += np.asarray(shifts, dtype=float)[:, None]
+    return data
 
 
 def family_from_gauge(rep: fock.FockRep, gauge: GaugeFunction) -> OperatorFamily:
@@ -318,11 +364,6 @@ class Cocycle(_Table):
     f+g in the box."""
 
     rank = 2
-
-
-# entries of each pairs x points temporary in the cocycle identity check:
-# 2**17 doubles, 1 MB
-_CHUNK_ENTRIES = 2**17
 
 
 def _rayleigh_weights(rep: fock.FockRep, cutoff: int, seed: int):
@@ -370,58 +411,89 @@ def build_cocycle(
 ) -> Cocycle:
     """Extracts xi over every valid ordered lattice pair.
 
-    Each lattice point's gauged generator is formed once, as its values on
-    the row stencil (`OperatorFamily.values`).  The probed operator of a
-    pair, G'_f + G'_g - G'_{f+g}, is combined from those values and probed
-    by `_probe_rows`, so NotScalarError names the first failing pair.  The
-    operator is symmetric under swapping the pair, so the value is computed
-    once per unordered pair and mirrored.
+    The gauged generators of all lattice points are formed in one
+    `_family_rows` pass and kept on the entries the probes see.  The probed
+    operator of a pair, G'_f + G'_g - G'_{f+g}, is symmetric under swapping
+    the pair, so it is combined from those rows for the pairs f <= g in
+    lattice order only, row-major, a chunk at a time; each chunk is probed
+    by `_probe_rows`, so NotScalarError names the first failing pair, and
+    each value is mirrored.
     """
     points = lattice_points(gauge.dim, gauge.box)
     add = _addition_table(gauge.dim, gauge.box)
     seen, weights = _rayleigh_weights(rep, cutoff, seed)
     family = family_from_gauge(rep, gauge)
-    gens = np.array([family.values(p)[seen] for p in points])
+    gens = _family_rows(rep, points, family.lattice_shifts)[:, seen[0], seen[1]]
 
     values = np.full(add.shape, np.nan)
-    for i, f in enumerate(points):  # one chunk of pairs (f, g >= f) per f
-        js = i + np.flatnonzero(add[i, i:] >= 0)
-        values[i, js] = values[js, i] = _probe_rows(
-            gens[i] + gens[js] - gens[add[i, js]], weights, fock.SCHUR_TOL,
-            lambda n: f"f={f}, g={points[js[n]]}",
+    rows, cols = np.nonzero(np.triu(add >= 0))
+    # chunks of two pairs or more: numpy takes a one-row product as a
+    # matrix-vector one, which rounds differently
+    chunks = max(1, len(rows) // max(2, _CHUNK_ENTRIES // gens.shape[1]))
+    for f, g in zip(np.array_split(rows, chunks), np.array_split(cols, chunks)):
+        values[f, g] = values[g, f] = _probe_rows(
+            gens[f] + gens[g] - gens[add[f, g]], weights, fock.SCHUR_TOL,
+            lambda n: f"f={points[f[n]]}, g={points[g[n]]}",
         )
     return Cocycle(dim=gauge.dim, box=gauge.box, values=values)
 
 
 def verify_cocycle(xi: Cocycle):
-    """Checks symmetry and the cocycle identity
+    """Checks symmetry and the cocycle identity D(f,g,h) = 0, where
 
-        xi(f,g) + xi(f+g,h) - xi(f,g+h) - xi(g,h) = 0
+        D(f,g,h) = xi(f,g) + xi(f+g,h) - xi(f,g+h) - xi(g,h)
 
-    for every stored (not NaN) pair (f,g) and lattice point h with g+h and
-    f+g+h in the box; returns (ok, max defect).  Raises KeyError when the
-    table lacks a mirror pair or a pair the identity needs.
+    is defined on the valid triples, those with f+g, g+h and f+g+h in the
+    box.  The table must store exactly the pairs whose sum is in the box,
+    else KeyError.  D is evaluated at every stored pair (f,g) but only at
+    the shifts h in {0, +-e_1, ..., +-e_d}; returns (ok, max defect), the
+    defect being the largest asymmetry or |D| seen.
+
+    The shifts suffice.  Expanding each D into xi terms, they cancel in
+
+        D(f,g,h+k) = D(f,g,h) + D(g,h,k) - D(f+g,h,k) + D(f,g+h,k)
+
+    (delta of the coboundary delta xi is zero; K. S. Brown, Cohomology of
+    Groups, ch. IV).  Let (f,g,h) be valid with |h|_1 >= 2.  Write h = h' + k
+    with k = +-e_i one unit step along a nonzero coordinate of h, in its
+    direction, so that h' lies between 0 and h coordinate by coordinate.
+    The box is a product of intervals, so h', g+h' (between g and g+h) and
+    f+g+h' (between f+g and f+g+h) are in it, and then each of the four
+    triples on the right is valid.  Their shifts are h', with |h'|_1 =
+    |h|_1 - 1, or the unit k, so by induction on |h|_1, D vanishes on every
+    valid triple once it vanishes at the shifts; in rounding, |D| at h is at
+    most (3|h|_1 - 2) times the largest |D| at the shifts.  The loop over all
+    pairs and all h is the tests' reference.
     """
     t = xi.values
     stored = ~np.isnan(t)
     if np.any(stored & ~stored.T):
         raise KeyError("cocycle table lacks the mirror of a stored pair")
-    worst = max(0.0, float(np.max(np.abs(t - t.T), where=stored, initial=0.0)))
     add = _addition_table(xi.dim, xi.box)
-    rows, cols = np.nonzero(stored)
-    sums = add[rows, cols]
-    if np.any(sums < 0):
-        # h = -g keeps g+h and f+g+h in the box, so xi(f+g, -g) is needed
+    inside = add >= 0
+    if np.any(stored & ~inside):
         raise KeyError("cocycle table stores a pair whose sum leaves the box")
-    step = max(1, _CHUNK_ENTRIES // len(t))
-    for start in range(0, len(rows), step):
-        f, g, fg = (a[start : start + step] for a in (rows, cols, sums))
-        gh = add[g]
-        valid = (gh >= 0) & (add[fg] >= 0)
-        defect = (t[f, g][:, None] + t[fg] - t[f[:, None], gh] - t[g])[valid]
-        if np.any(np.isnan(defect)):
-            raise KeyError("cocycle table lacks a pair the identity needs")
-        worst = max(worst, float(np.max(np.abs(defect), initial=0.0)))
+    if np.any(inside & ~stored):
+        raise KeyError("cocycle table lacks a pair whose sum is in the box")
+    origin = len(t) // 2
+    shifts = [origin]
+    for axis in range(xi.dim):
+        stride = (2 * xi.box + 1) ** (xi.dim - 1 - axis)
+        shifts += [origin + stride, origin - stride]
+    plus_h, xi_h = add[:, shifts], t[:, shifts]  # g+h and xi(g,h) per shift
+    worst = 0.0
+    step = max(1, _CHUNK_ENTRIES // (len(t) * len(shifts)))
+    for start in range(0, len(t), step):  # the stored pairs of a few rows f
+        f, g = np.nonzero(stored[start : start + step])
+        f += start
+        fg, gh = add[f, g], plus_h[g]
+        valid = (gh >= 0) & (plus_h[fg] >= 0)
+        defect = t[f, g][:, None] + xi_h[fg] - t[f[:, None], gh] - xi_h[g]
+        worst = max(
+            worst,
+            float(np.max(np.abs(t[f, g] - t[g, f]), initial=0.0)),
+            float(np.max(np.abs(defect), where=valid, initial=0.0)),
+        )
     return worst <= COCYCLE_TOL, worst
 
 
@@ -480,17 +552,18 @@ def coboundary_defect(xi: Cocycle, gamma: Coboundary) -> float:
     """Max pointwise error of the defining equation over all stored pairs;
     KeyError when a stored pair's sum leaves the box."""
     t = xi.values
-    gap = _coboundary(gamma.values, xi.dim, xi.box) - t
+    gap = _coboundary(gamma.values, xi.dim, xi.box)
+    gap -= t
     if np.any(np.isnan(gap) & ~np.isnan(t)):
         raise KeyError("cocycle table stores a pair whose sum leaves the box")
-    return float(np.nanmax(np.abs(gap), initial=0.0))
+    return float(np.nanmax(np.abs(gap, out=gap), initial=0.0))
 
 
 def character_defect(gauge: GaugeFunction, gamma: Coboundary) -> float:
     """Additivity defect of chi = gamma - c; zero means gamma differs from
     the gauge by an exactly additive character."""
-    chi = gamma.values - gauge.values
-    return float(np.nanmax(np.abs(_coboundary(chi, gauge.dim, gauge.box)), initial=0.0))
+    delta = _coboundary(gamma.values - gauge.values, gauge.dim, gauge.box)
+    return float(np.nanmax(np.abs(delta, out=delta), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -541,18 +614,21 @@ def extract_zeta(
 
 def _zeta_tables(family: OperatorFamily, axes, grid, cutoff, seed) -> dict:
     """`extract_zeta`'s table for each of `axes`, axis by axis, from one
-    `_rayleigh_weights` build."""
+    `_rayleigh_weights` build and the rows of every axis's rays, built in
+    one pass."""
     grid = [float(c) for c in grid]
     if not any(c == 0.0 for c in grid) or not any(c == 1.0 for c in grid):
         raise ValueError("scalar grid must contain 0 and 1")
     seen, weights = _rayleigh_weights(family.rep, cutoff, seed)
+    # per axis, the unit e and then c*e for each c of the grid
+    scalars = np.array([1.0, *grid])
+    eye = np.eye(family.rep.space.dim)
+    rays = family.rows(np.concatenate([np.outer(scalars, eye[axis]) for axis in axes]))
+    rays = rays[:, seen[0], seen[1]].reshape(-1, len(scalars), len(seen[0]))
     tables = {}
-    for axis in axes:
-        e = _basis(family.rep.space.dim, axis)
-        unit = family.values(e)[seen]
-        rows = [family.values(tuple(c * x for x in e))[seen] - c * unit for c in grid]
+    for axis, ray in zip(axes, rays):
         zetas = _probe_rows(
-            np.array(rows), weights, ZETA_PROBE_TOL,
+            ray[1:] - scalars[1:, None] * ray[0], weights, ZETA_PROBE_TOL,
             lambda n: f"axis {axis}, c={grid[n]}",
         )
         table = tables[axis] = dict(zip(map(_ray_key, grid), zetas.tolist()))
@@ -593,35 +669,45 @@ def improve_family(
 ) -> OperatorFamily:
     """Builds the corrected family and certifies it additive and homogeneous.
 
-    The shift of the improved family is c - gamma - theta.  Additivity is
-    checked scalar-wise on every in-box pair and by the norms of the defect
-    operators of _MATRIX_SAMPLES evenly spaced pairs; homogeneity by defect
-    norms along basis rays.  Each defect operator is combined from value
-    rows, and its norm is the Frobenius norm of its values on the row
-    stencil, an upper bound on its spectral norm.
+    The shift of the improved family is c - gamma - theta, with theta summed
+    axis by axis over the lattice.  Additivity is checked scalar-wise on
+    every in-box pair and by the norms of the defect operators of
+    _MATRIX_SAMPLES evenly spaced pairs; homogeneity by defect norms along
+    basis rays.  The rows of both matrix checks come from one
+    `_family_rows` pass each, and a defect's norm is the Frobenius norm of
+    its values on the row stencil, an upper bound on its spectral norm.
     """
-    points = lattice_points(gauge.dim, gauge.box)
-    theta = 0.0 if homogeneity is None else [homogeneity.theta(p) for p in points]
-    shifts = gauge.values - gamma.values - np.asarray(theta)
-    improved = OperatorFamily(rep, gauge.box, shifts)
-    values = improved.values
+    points, box = lattice_points(gauge.dim, gauge.box), gauge.box
+    coords = _coords(gauge.dim, box)
+    theta = np.zeros(len(points))
+    if homogeneity is not None:
+        for axis in range(gauge.dim):
+            ray = [homogeneity.zeta_value(axis, x) if x else 0.0 for x in range(-box, box + 1)]
+            theta += np.take(ray, coords[:, axis] + box)
+    shifts = gauge.values - gamma.values - theta
+    improved = OperatorFamily(rep, box, shifts)
 
-    defects = _coboundary(shifts, gauge.dim, gauge.box)
-    worst = float(np.nanmax(np.abs(defects), initial=0.0))
+    defects = _coboundary(shifts, gauge.dim, box)
+    worst = float(np.nanmax(np.abs(defects, out=defects), initial=0.0))
     if worst > IMPROVE_TOL:
         raise ImprovementError(f"improved family not additive (defect {worst:.3e})")
     rows, cols = np.nonzero(np.triu(~np.isnan(defects)))  # the pairs f <= g in the box
     step = max(1, len(rows) // _MATRIX_SAMPLES)
-    for i, j in zip(rows[::step].tolist(), cols[::step].tolist()):
-        f, g = points[i], points[j]
-        defect = np.linalg.norm(values(f) + values(g) - values(np.add(f, g)))
+    f, g = rows[::step], cols[::step]
+    at = np.concatenate([f, g, _addition_table(gauge.dim, box)[f, g]])
+    gens = _family_rows(rep, coords[at], shifts[at]).reshape(3, len(f), *rep.cols.shape)
+    for i, j, gen_f, gen_g, gen_fg in zip(f.tolist(), g.tolist(), *gens):
+        defect = np.linalg.norm(gen_f + gen_g - gen_fg)
         if defect > IMPROVE_TOL:
-            raise ImprovementError(f"matrix additivity defect {defect:.3e} at {f}, {g}")
-    for axis in range(gauge.dim):
-        e = _basis(gauge.dim, axis)
-        unit = values(e)
-        for c in (-1.0, 2.0, 0.5, float(gauge.box)):
-            defect = np.linalg.norm(values(tuple(c * x for x in e)) - c * unit)
+            raise ImprovementError(
+                f"matrix additivity defect {defect:.3e} at {points[i]}, {points[j]}"
+            )
+    # per axis, the unit e and then c*e for each scalar c
+    scalars = (1.0, -1.0, 2.0, 0.5, float(box))
+    rays = improved.rows(np.concatenate([np.outer(scalars, e) for e in np.eye(gauge.dim)]))
+    for axis, ray in enumerate(rays.reshape(gauge.dim, len(scalars), *rep.cols.shape)):
+        for c, gen in zip(scalars[1:], ray[1:]):
+            defect = np.linalg.norm(gen - c * ray[0])
             if defect > IMPROVE_TOL:
                 raise ImprovementError(
                     f"matrix homogeneity defect {defect:.3e} at axis {axis}, c={c}"
@@ -697,7 +783,11 @@ def run_pipeline(
         "all_pass": False,
     }
 
-    xi = build_cocycle(rep, gauge, cutoff=cutoff, seed=seed)
+    try:
+        xi = build_cocycle(rep, gauge, cutoff=cutoff, seed=seed)
+    except NotScalarError as exc:  # e.g. gauge values whose sums overflow
+        stages["cocycle"] = {"ok": False, "error": str(exc)}
+        return report
     if corrupt_pair:
         values = xi.values.copy()
         e = _index(_basis(gauge.dim, 0), gauge.box)

@@ -5,15 +5,21 @@ and emitted JSON; subprocess tests cover the console script and reports
 under different BLAS thread counts.
 """
 
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resalg import cohomology, fock
 from resalg.cli import main
@@ -390,6 +396,21 @@ def test_cohomology_corrupt_xi_exits_1(capsys):
     assert "cocycle" in err
 
 
+@pytest.mark.parametrize("modes", [1, 2])
+def test_cohomology_corrupt_xi_on_a_box_1_gauge_exits_2(capsys, tmp_path, modes):
+    # the fault goes on xi(e_1, e_1), which a box of radius 1 does not hold
+    path = tmp_path / "gauge.json"
+    path.write_text(cohomology.gauge_to_json(cohomology.random_gauge(2 * modes, 1)))
+    config = ("--config", "configs/two_mode.json", "--trunc", "8") if modes == 2 else ()
+    code, out, err = run_cli(
+        capsys, "cohomology", *config, "--gauge", str(path), "--corrupt-xi"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert "box of radius >= 2" in err
+
+
 def test_cohomology_gauge_dimension_mismatch_exits_2(capsys, tmp_path):
     gauge = cohomology.zero_gauge(4, 1)
     path = tmp_path / "gauge.json"
@@ -481,6 +502,93 @@ def test_cohomology_unreadable_gauge_exits_2(capsys, tmp_path):
         capsys, "cohomology", "--trunc", "16", "--gauge", str(path)
     )
     assert code == 2
+
+
+# The gauge-file fuzz: a full table of a small box with up to three edits,
+# or a file that is no table at all.  Every case must exit 2 at validation
+# with a `config error:` line and no report, or write a report.
+
+_ODD_VALUES = [float("nan"), float("inf"), "x", "1.5", None, True, [1.0], {"c": 1}, 1e308]
+_ODD_POINTS = [[0.5, 0], "10", None, 3, {"f": 1}, [], [0, 0, 0], [True, False],
+               [3, 0], [40, 0], [1e300, 0], [float("inf"), 0]]
+_ODD_FILES = ["{}", "[]", "null", '"text"', "[1, 2]", "[[]]", "not json", '[{"c": 1.0}]']
+
+
+def _lattice(dim, box):
+    return itertools.product(range(-box, box + 1), repeat=dim)
+
+
+@st.composite
+def gauge_files(draw):
+    """(modes, gauge file text); the gauge mostly has the 2 * modes axes the
+    run reads, and a small box."""
+    modes = draw(st.sampled_from([1, 2]))
+    if draw(st.integers(0, 7)) == 0:
+        return modes, draw(st.sampled_from(_ODD_FILES))
+    dim = 2 * modes if draw(st.integers(0, 4)) else 6 - 2 * modes
+    box = draw(st.integers(1, 2 if dim == 2 else 1))
+    entries = [
+        {"f": list(p), "c": draw(st.floats(-1, 1)) if any(p) else 0.0}
+        for p in _lattice(dim, box)
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        n = draw(st.integers(0, len(entries) - 1))
+        edit = draw(st.sampled_from(["drop", "value", "point", "repeat", "key"]))
+        if edit == "drop":
+            del entries[n]
+        elif edit == "value":
+            entries[n]["c"] = draw(st.sampled_from(_ODD_VALUES))
+        elif edit == "point":
+            entries[n]["f"] = draw(st.sampled_from(_ODD_POINTS))
+        elif edit == "repeat":
+            entries.append(dict(entries[n]))
+        else:
+            entries[n] = {"g": entries[n]["f"], "c": entries[n]["c"]}
+    return modes, json.dumps(entries)
+
+
+# finite values whose sums overflow: xi cannot be extracted, and the report
+# says so at the cocycle stage
+_HUGE = json.dumps([{"f": [x, y], "c": 1e308 if (x, y) != (0, 0) else 0.0}
+                    for x, y in _lattice(2, 2)])
+
+
+@settings(deadline=None, max_examples=60, derandomize=True, database=None)
+@given(case=gauge_files(), corrupt=st.booleans())
+@example(case=(1, _HUGE), corrupt=False)
+def test_cohomology_gauge_file_fuzz_reports_or_exits_2(case, corrupt):
+    modes, text = case
+    run = ["--config", "configs/two_mode.json", "--trunc", "4"] if modes == 2 else ["--trunc", "8"]
+    with tempfile.TemporaryDirectory() as tmp:
+        gauge, out = pathlib.Path(tmp, "gauge.json"), pathlib.Path(tmp, "report.json")
+        gauge.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([
+                "cohomology", *run, "--compress", "3", "--gauge", str(gauge),
+                "--out", str(out), *["--corrupt-xi"] * corrupt,
+            ])
+        if code == 2:
+            assert err.getvalue().startswith("config error: ")
+            assert not out.exists()
+            return
+        report = json.loads(out.read_text())
+    assert code in (0, 1)
+    assert report["all_pass"] is (code == 0)
+    if corrupt:
+        assert report["stages"]["cocycle"]["ok"] is False
+
+
+def test_cohomology_overflowing_gauge_fails_the_cocycle_stage(capsys, tmp_path):
+    path = tmp_path / "gauge.json"
+    path.write_text(_HUGE)
+    code, out, err = run_cli(capsys, "cohomology", "--trunc", "8", "--gauge", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert list(report["stages"]) == ["cocycle"]
+    assert "not a real multiple of the identity" in report["stages"]["cocycle"]["error"]
+    assert "xi" not in report
+    assert err.endswith("failed stages: cocycle\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +36,28 @@ def extract_xi(rep, gauge, f, g, cutoff=coh.DEFAULT_CUTOFF, seed=0):
     family = coh.family_from_gauge(rep, gauge)
     k = dense(family, f) + dense(family, g) - dense(family, _add(f, g))
     return coh._probe_scalar(rep, k, cutoff, seed)
+
+
+def plant(monkeypatch, bump):
+    """Calls bump(rep, f, values) on the stencil values of every point f a
+    family builds: per point (`fock.generator_values`, which `fock.generator`
+    and `OperatorFamily.values` read) and in the whole-lattice pass
+    (`coh._family_rows`), so every path sees the same fault."""
+    plain_values, plain_rows = fock.generator_values, coh._family_rows
+
+    def generator_values(rep_, f):
+        out = plain_values(rep_, f)
+        bump(rep_, tuple(float(x) for x in f), out)
+        return out
+
+    def family_rows(rep_, points, shifts):
+        out = plain_rows(rep_, points, shifts)
+        for p, values in zip(np.reshape(points, (len(out), -1)), out):
+            bump(rep_, tuple(float(x) for x in p), values)
+        return out
+
+    monkeypatch.setattr(fock, "generator_values", generator_values)
+    monkeypatch.setattr(coh, "_family_rows", family_rows)
 
 
 def closed_form_xi(gauge, f, g):
@@ -98,37 +121,56 @@ def stored_pairs(xi):
 
 # Reference loops: the lattice checks written pair by pair over lattice
 # indices.  The array code in the module evaluates the same expressions in
-# the same order, so its results must equal these exactly.  A pair that is
+# the same order, so its results must equal these exactly; `verify_cocycle`
+# equals the cocycle loop taken over the unit shifts h only.  A pair that is
 # off the box or undefined raises KeyError.
 
 
 def _entry(values, box, *points):
+    """The entry at the points, or, for a stack of tables along a trailing
+    axis, the array of their entries."""
     if not all(_in_box(p, box) for p in points):
         raise KeyError(points)
     value = values[at(box, *points)]
-    if np.isnan(value):
+    if np.isnan(value).any():
         raise KeyError(points)
-    return float(value)
+    return value
 
 
-def loop_verify_cocycle(xi, tol=coh.COCYCLE_TOL):
-    pairs = stored_pairs(xi)
-    worst = 0.0
-    for (f, g), value in pairs.items():
-        worst = max(worst, abs(value - _entry(xi.values, xi.box, g, f)))
-    for f, g in sorted(pairs):
+def unit_shifts(dim):
+    """h = 0 and +-e_i, the shifts `verify_cocycle` evaluates."""
+    units = [tuple(s * (i == axis) for i in range(dim)) for axis in range(dim) for s in (1, -1)]
+    return [(0,) * dim, *units]
+
+
+def loop_verify_cocycle(xi, tol=coh.COCYCLE_TOL, shifts=None):
+    """The symmetry and the cocycle identity at every stored pair (f, g) and
+    every h of `shifts` (the whole box by default).  `xi.values` may carry a
+    trailing axis of tables checked side by side, one verdict and defect
+    each."""
+    t = xi.values
+    points = lattice(xi.dim, xi.box)
+    index = {p: i for i, p in enumerate(points)}  # KeyError off the box
+
+    def entry(f, g):
+        value = t[index[f], index[g]]
+        if np.isnan(value).any():
+            raise KeyError((f, g))
+        return value
+
+    pairs = [(f, g) for f in points for g in points if not np.isnan(t[index[f], index[g]]).all()]
+    stacked = t.ndim > 2
+    worst, maximum = (np.zeros(t.shape[2:]), np.maximum) if stacked else (0.0, max)
+    for f, g in pairs:
+        worst = maximum(worst, abs(entry(f, g) - entry(g, f)))
+    for f, g in pairs:
         fg = _add(f, g)
-        for h in lattice(xi.dim, xi.box):
+        for h in points if shifts is None else shifts:
             gh = _add(g, h)
-            if not _in_box(gh, xi.box) or not _in_box(_add(fg, h), xi.box):
+            if gh not in index or _add(fg, h) not in index:
                 continue
-            defect = (
-                pairs[(f, g)]
-                + _entry(xi.values, xi.box, fg, h)
-                - _entry(xi.values, xi.box, f, gh)
-                - _entry(xi.values, xi.box, g, h)
-            )
-            worst = max(worst, abs(defect))
+            defect = entry(f, g) + entry(fg, h) - entry(f, gh) - entry(g, h)
+            worst = maximum(worst, abs(defect))
     return worst <= tol, worst
 
 
@@ -218,6 +260,31 @@ def test_gauge_json_round_trip():
         coh.gauge_from_json('[{"f": [1, 0], "c": 1.0}, {"f": [1], "c": 0.0}]')
 
 
+@pytest.mark.parametrize(
+    "entries, missing",
+    [([((1, 0), 1.0), ((-1, 0), 2.0)], (-1, -1)),
+     ([((-1, -1), 1.0), ((-1, 0), 2.0)], (-1, 1)),
+     ([((10**6, 0), 1.0)], (-(10**6), -(10**6))),
+     ([((40, 0, 0, 0), 1.0)], (-40,) * 4)],
+)
+def test_gauge_file_too_short_for_its_box_names_the_first_missing_point(entries, missing):
+    # found from the count of entries, before any table of the box exists
+    text = json.dumps([{"f": list(f), "c": c} for f, c in entries])
+    with pytest.raises(ValueError, match=re.escape(f"gauge undefined at {missing};")):
+        coh.gauge_from_json(text)
+
+
+def test_gauge_file_far_points_and_one_short():
+    # a coordinate past the integer range is one more far point, not garbage
+    with pytest.raises(ValueError, match="gauge undefined at"):
+        coh.gauge_from_json('[{"f": [1e300, 0], "c": 1.0}]')
+    # with one point short of the full box, the table finds the same point
+    entries = json.loads(coh.gauge_to_json(coh.random_gauge(2, 2, seed=1)))
+    del entries[5]
+    with pytest.raises(ValueError, match=re.escape("gauge undefined at (-1, -2);")):
+        coh.gauge_from_json(json.dumps(entries))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_gauge_rejects_non_finite_values(bad):
     # NaN marks an undefined point of a table, so a file may not set one
@@ -300,21 +367,27 @@ def test_build_cocycle_matches_per_pair_extraction():
         assert len(stored_pairs(xi)) == expected
 
 
+def test_build_cocycle_bits_do_not_depend_on_the_chunks(rep, monkeypatch):
+    # box 2 has a row of one pair, f = g = (1, 1); with chunks of two or
+    # three pairs every value keeps the bits of a single chunk
+    gauge = coh.random_gauge(2, 2, seed=7)
+    whole = coh.build_cocycle(rep, gauge).values
+    seen, _ = coh._rayleigh_weights(rep, coh.DEFAULT_CUTOFF, 0)
+    monkeypatch.setattr(coh, "_CHUNK_ENTRIES", 2 * len(seen[0]) + 1)
+    assert coh.build_cocycle(rep, gauge).values.tobytes() == whole.tobytes()
+
+
 def test_build_cocycle_names_first_non_scalar_pair(rep, monkeypatch):
     # a generator at one point gets a non-scalar defect; the first pair in
     # extraction order (f before g in lattice order) that touches it fails.
     # At the origin two pairs of the first row fail: g = (0, 0) and (2, 2)
     broken = (0, 0)
-    plain = fock.generator_values
 
-    def generator_values(rep_, f):
-        # fock.generator builds on these values too, so both paths see it
-        out = plain(rep_, f)
-        if tuple(f) == broken:
-            out[rep_.diagonal, 0] += 0.5
-        return out
+    def bump(rep_, f, values):
+        if f == broken:
+            values[rep_.diagonal, 0] += 0.5
 
-    monkeypatch.setattr(fock, "generator_values", generator_values)
+    plant(monkeypatch, bump)
     gauge = coh.random_gauge(2, 2, seed=3)
     points = coh.lattice_points(2, 2)
     first = next(
@@ -331,9 +404,19 @@ def test_build_cocycle_names_first_non_scalar_pair(rep, monkeypatch):
         extract_xi(rep, gauge, *first)
 
 
+def assert_cocycle_check_matches_loops(xi):
+    # the same triples as the loop over the unit shifts, bit for bit; a
+    # subset of the full loop's, so the same verdict and a defect no larger
+    got = coh.verify_cocycle(xi)
+    assert got == loop_verify_cocycle(xi, shifts=unit_shifts(xi.dim))
+    ok, defect = loop_verify_cocycle(xi)
+    assert got[0] == ok and got[1] <= defect
+    return got
+
+
 def test_lattice_checks_equal_reference_loops(random_setup):
     gauge, xi, gamma = random_setup
-    assert coh.verify_cocycle(xi) == loop_verify_cocycle(xi)
+    assert_cocycle_check_matches_loops(xi)
     assert coh.coboundary_defect(xi, gamma) == loop_coboundary_defect(xi, gamma)
     assert coh.character_defect(gauge, gamma) == loop_character_defect(gauge, gamma)
     corrupt = edited(xi, {
@@ -341,8 +424,7 @@ def test_lattice_checks_equal_reference_loops(random_setup):
         ((1, 0), (1, 1)): xi.value((1, 0), (1, 1)) + 0.25,  # asymmetric as well
         ((-2, 0), (3, -1)): xi.value((-2, 0), (3, -1)) - 1e-7,
     })
-    got = coh.verify_cocycle(corrupt)
-    assert got == loop_verify_cocycle(corrupt)
+    got = assert_cocycle_check_matches_loops(corrupt)
     assert got[0] is False
     assert coh.coboundary_defect(corrupt, gamma) == loop_coboundary_defect(
         corrupt, gamma
@@ -402,6 +484,29 @@ def test_verify_cocycle_missing_pairs_raise_like_the_loop(random_setup):
     # the low-axis sweep reaches (1, 1) through xi((0, 1), (1, 0))
     with pytest.raises(KeyError):
         coh.solve_coboundary(no_mirror)
+
+
+@pytest.mark.parametrize(
+    "modes, levels, box, cutoff, pairs", [(1, 16, 3, 6, 689), (2, 6, 1, 3, 1201)]
+)
+def test_cocycle_check_rejects_what_the_loop_rejects(modes, levels, box, cutoff, pairs):
+    # each stored pair in turn, moved by 1e-6 together with its mirror: the
+    # unit-shift check must give the full loop's verdict on every table.
+    # The loop checks all corrupted tables at once, stacked on a third axis
+    rep_ = fock.build_rep(modes, levels)
+    xi = coh.build_cocycle(rep_, coh.random_gauge(2 * modes, box, seed=11), cutoff=cutoff)
+    upper = np.argwhere(np.triu(~np.isnan(xi.values)))
+    assert len(upper) == pairs
+    stack = np.repeat(xi.values[:, :, None], pairs, axis=2)
+    for k, (i, j) in enumerate(upper):
+        stack[i, j, k] += 1e-6
+        stack[j, i, k] = stack[i, j, k]
+    stacked = SimpleNamespace(dim=xi.dim, box=box, values=stack)
+    verdicts, defects = loop_verify_cocycle(stacked)
+    for k in range(pairs):
+        ok, defect = coh.verify_cocycle(coh.Cocycle(xi.dim, box, stack[:, :, k]))
+        assert ok == verdicts[k] and defect <= defects[k], upper[k]
+    assert not verdicts.any()  # no single pair can move alone
 
 
 def test_zero_cocycle_gives_zero_potential(rep):
@@ -477,6 +582,19 @@ def test_family_generator_and_resolvent(rep):
     r = fam.resolvent(1.0, f)
     lhs = (1j * np.eye(rep.dim) + gen) @ r
     assert np.allclose(lhs, np.eye(rep.dim), atol=1e-11)
+
+
+@pytest.mark.parametrize("modes, levels", [(1, 16), (2, 6)])
+def test_family_rows_have_the_bits_of_per_point_values(modes, levels):
+    rep_ = fock.build_rep(modes, levels)
+    fam = coh.family_from_gauge(rep_, coh.random_gauge(2 * modes, 2, seed=6))
+    rays = [tuple(c * (i == axis) for i in range(2 * modes))
+            for axis in range(2 * modes) for c in (-2.5, -0.5, 0.5, 3.0)]
+    points = coh.lattice_points(2 * modes, 2) + rays
+    rows = fam.rows(points)
+    assert rows.shape == (len(points), *rep_.cols.shape)
+    for p, row in zip(points, rows):
+        assert row.tobytes() == fam.values(p).tobytes(), p
 
 
 def test_family_dimension_mismatch(rep):
@@ -596,15 +714,12 @@ def test_batched_zeta_matches_per_scalar_loop(modes, levels, box, cutoff, monkey
 def test_zeta_names_axis_and_scalar_of_non_scalar_probe(rep, random_setup, monkeypatch):
     gauge, _, gamma = random_setup
     fam = coh.corrected_family(rep, gauge, gamma)
-    plain = fock.generator_values
 
-    def generator_values(rep_, f):
-        out = plain(rep_, f)
-        if tuple(f) == (0.0, 0.5):
-            out[rep_.diagonal, 0] += 0.5
-        return out
+    def bump(rep_, f, values):
+        if f == (0.0, 0.5):
+            values[rep_.diagonal, 0] += 0.5
 
-    monkeypatch.setattr(fock, "generator_values", generator_values)
+    plant(monkeypatch, bump)
     with pytest.raises(coh.NotScalarError, match=r"probe at axis 1, c=0\.5 is not"):
         coh.extract_zeta(fam, 1, (0.0, 0.5, 1.0, 2.0))
 
@@ -652,6 +767,20 @@ def test_improve_quadratic_gauge(rep):
         assert defect <= 1e-10
 
 
+def test_improve_shifts_take_theta_point_by_point(rep, random_setup):
+    # linear scaling defects keep the improved family additive; its shifts
+    # must hold c - gamma - theta(p) with theta summed as `theta` sums it
+    gauge, _, gamma = random_setup
+    keys = sorted(set(coh.DEFAULT_SCALAR_GRID) | {float(x) for x in range(-3, 4)})
+    zeta = {axis: {coh._ray_key(c): slope * c for c in keys}
+            for axis, slope in enumerate((0.37, -1.3))}
+    homogeneity = coh.HomogeneityData(dim=2, box=3, zeta=zeta)
+    improved = coh.improve_family(rep, gauge, gamma, homogeneity)
+    theta = [homogeneity.theta(p) for p in coh.lattice_points(2, 3)]
+    expected = gauge.values - gamma.values - np.array(theta)
+    assert improved.lattice_shifts.tobytes() == expected.tobytes()
+
+
 def test_improve_rejects_wrong_potential(rep):
     gauge = coh.quadratic_gauge(2, 2)
     bad = coh.Coboundary(dim=2, box=2, values=np.zeros(25))
@@ -669,14 +798,11 @@ def test_improve_detects_matrix_defects(rep, monkeypatch, bend, message):
     # so every scalar check, exact; only the matrix checks can see it
     gauge = coh.zero_gauge(2, 2)
     gamma = coh.solve_coboundary(coh.build_cocycle(rep, gauge))
-    plain = fock.generator_values
 
-    def generator_values(rep_, f):
-        out = plain(rep_, f)
-        out[rep_.diagonal - 1, 1] += 0.1 * bend(float(f[0]))  # row 1, column 0
-        return out
+    def bump(rep_, f, values):
+        values[rep_.diagonal - 1, 1] += 0.1 * bend(f[0])  # row 1, column 0
 
-    monkeypatch.setattr(fock, "generator_values", generator_values)
+    plant(monkeypatch, bump)
     with pytest.raises(coh.ImprovementError, match=message):
         coh.improve_family(rep, gauge, gamma)
 
