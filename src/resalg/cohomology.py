@@ -263,11 +263,13 @@ def gauge_from_json(text: str) -> GaugeFunction:
     side = 2 * box + 1
     if side**dim > len(entries) + 1:
         # too few entries to fill the box (the origin may be left out): name
-        # the first missing point by its lattice index, with no box table
-        weights = [side ** (dim - 1 - k) for k in range(dim)]
-        given = {sum((int(x) + box) * w for x, w in zip(p, weights)) for p in coords.tolist()}
-        i = next(i for i in itertools.count() if i not in given and i != side**dim // 2)
-        raise ValueError(_undefined_at(tuple(i // w % side - box for w in weights), dim, box))
+        # the first missing point, with no box table.  Its lattice index is
+        # at most the entry count plus one, and so is each coordinate + box
+        given = set(map(tuple, coords.tolist()))
+        reach = range(-box, min(box, len(entries) + 1 - box) + 1)
+        points = itertools.product(reach, repeat=dim)
+        missing = next(p for p in points if any(p) and p not in given)
+        raise ValueError(_undefined_at(missing, dim, box))
     table = np.full((2 * box + 1) ** dim, np.nan)
     table[_point_index(coords.astype(np.intp).T, box)] = values
     return GaugeFunction(dim, box, table)
@@ -298,15 +300,9 @@ class OperatorFamily:
         return scale * _lookup(self.lattice_shifts, self.box, "family shift", f)
 
     def rows(self, points) -> np.ndarray:
-        """`values` at each row of `points`, one `_family_rows` pass."""
+        """G_f + s(f)*1 on the row stencil at each row f of `points`."""
         points = np.asarray(points, dtype=float)
         return _family_rows(self.rep, points, [self.shift(p) for p in points.tolist()])
-
-    def values(self, f) -> np.ndarray:
-        """G_f + s(f)*1 as values on the representation's row stencil."""
-        data = fock.generator_values(self.rep, f)
-        data[self.rep.diagonal] += self.shift(f)
-        return data
 
     def resolvent(self, z, f) -> np.ndarray:
         # (iz + G_f + s)^{-1} is the plain solve at z shifted by -i*s
@@ -315,14 +311,9 @@ class OperatorFamily:
 
 
 def _family_rows(rep: fock.FockRep, points, shifts) -> np.ndarray:
-    """G_p + s*1 on the row stencil for each row p of `points` and its shift
-    s in `shifts`, as a points x slots x dim array.  Axis by axis it takes
-    the element-wise steps of `fock.generator_values`, then adds the shifts
-    on the diagonal, so each row has the bits of `OperatorFamily.values`."""
-    pts = np.asarray(points, dtype=float).reshape(len(shifts), rep.space.dim)
-    data = np.zeros((len(pts), *rep.cols.shape), dtype=complex)
-    for k, values in enumerate(rep.entries):
-        data += pts[:, k, None, None] * values
+    """G_p + s*1 on the row stencil for each row p of the points x dim array
+    `points` and its shift s in `shifts`, as a points x slots x dim array."""
+    data = fock.generator_values(rep, points)
     data[:, rep.diagonal] += np.asarray(shifts, dtype=float)[:, None]
     return data
 
@@ -423,7 +414,8 @@ def build_cocycle(
     add = _addition_table(gauge.dim, gauge.box)
     seen, weights = _rayleigh_weights(rep, cutoff, seed)
     family = family_from_gauge(rep, gauge)
-    gens = _family_rows(rep, points, family.lattice_shifts)[:, seen[0], seen[1]]
+    gens = _family_rows(rep, _coords(gauge.dim, gauge.box), family.lattice_shifts)
+    gens = gens[:, seen[0], seen[1]]
 
     values = np.full(add.shape, np.nan)
     rows, cols = np.nonzero(np.triu(add >= 0))
@@ -447,7 +439,10 @@ def verify_cocycle(xi: Cocycle):
     box.  The table must store exactly the pairs whose sum is in the box,
     else KeyError.  D is evaluated at every stored pair (f,g) but only at
     the shifts h in {0, +-e_1, ..., +-e_d}; returns (ok, max defect), the
-    defect being the largest asymmetry or |D| seen.
+    defect being the largest asymmetry or |D| seen.  It passes when the
+    defect is at most COCYCLE_TOL / (3dB - 2), for dimension d and box
+    radius B, which bounds |D| by COCYCLE_TOL on every valid triple, as
+    shown below.
 
     The shifts suffice.  Expanding each D into xi terms, they cancel in
 
@@ -461,9 +456,13 @@ def verify_cocycle(xi: Cocycle):
     f+g+h' (between f+g and f+g+h) are in it, and then each of the four
     triples on the right is valid.  Their shifts are h', with |h'|_1 =
     |h|_1 - 1, or the unit k, so by induction on |h|_1, D vanishes on every
-    valid triple once it vanishes at the shifts; in rounding, |D| at h is at
-    most (3|h|_1 - 2) times the largest |D| at the shifts.  The loop over all
-    pairs and all h is the tests' reference.
+    valid triple once it vanishes at the shifts.  The same induction bounds
+    |D| at h by (3|h|_1 - 2) times the largest |D| at the shifts, and h is a
+    point of the box, so |h|_1 <= dB.  A pass thus implies that the loop
+    over all pairs and all h, the tests' reference, passes at COCYCLE_TOL
+    (up to the rounding of D's own four terms).  The converse fails only
+    for a table whose largest |D| at the shifts lies between COCYCLE_TOL /
+    (3dB - 2) and COCYCLE_TOL; an extracted table's are near 1e-15.
     """
     t = xi.values
     stored = ~np.isnan(t)
@@ -475,11 +474,8 @@ def verify_cocycle(xi: Cocycle):
         raise KeyError("cocycle table stores a pair whose sum leaves the box")
     if np.any(inside & ~stored):
         raise KeyError("cocycle table lacks a pair whose sum is in the box")
-    origin = len(t) // 2
-    shifts = [origin]
-    for axis in range(xi.dim):
-        stride = (2 * xi.box + 1) ** (xi.dim - 1 - axis)
-        shifts += [origin + stride, origin - stride]
+    units = np.eye(xi.dim)
+    shifts = [_index(h, xi.box) for h in (0 * units[0], *units, *-units)]
     plus_h, xi_h = add[:, shifts], t[:, shifts]  # g+h and xi(g,h) per shift
     worst = 0.0
     step = max(1, _CHUNK_ENTRIES // (len(t) * len(shifts)))
@@ -494,7 +490,7 @@ def verify_cocycle(xi: Cocycle):
             float(np.max(np.abs(t[f, g] - t[g, f]), initial=0.0)),
             float(np.max(np.abs(defect), where=valid, initial=0.0)),
         )
-    return worst <= COCYCLE_TOL, worst
+    return worst <= COCYCLE_TOL / (3 * xi.dim * xi.box - 2), worst
 
 
 @dataclass(frozen=True)
@@ -585,11 +581,15 @@ class HomogeneityData:
             raise KeyError(f"no scaling sample at axis {axis}, scalar {c}")
         return table[key]
 
-    def theta(self, f) -> float:
-        total = 0.0
-        for axis, x in enumerate(f):
-            if abs(float(x)) > _INT_EPS:
-                total += self.zeta_value(axis, float(x))
+    def theta(self, points) -> np.ndarray:
+        """The correction theta(f) = sum of zeta_axis(f_axis) over the
+        nonzero coordinates of f, axis by axis, at each row f of the points x
+        dim array `points`; each distinct coordinate is looked up once."""
+        total = np.zeros(len(points))
+        for axis, xs in enumerate(np.asarray(points, dtype=float).T):
+            scalars, where = np.unique(xs, return_inverse=True)
+            ray = [self.zeta_value(axis, c) if abs(c) > _INT_EPS else 0.0 for c in scalars]
+            total += np.take(ray, where)
         return total
 
 
@@ -669,21 +669,17 @@ def improve_family(
 ) -> OperatorFamily:
     """Builds the corrected family and certifies it additive and homogeneous.
 
-    The shift of the improved family is c - gamma - theta, with theta summed
-    axis by axis over the lattice.  Additivity is checked scalar-wise on
-    every in-box pair and by the norms of the defect operators of
-    _MATRIX_SAMPLES evenly spaced pairs; homogeneity by defect norms along
-    basis rays.  The rows of both matrix checks come from one
+    The shift of the improved family is c - gamma - theta, with theta from
+    `HomogeneityData.theta` at every lattice point.  Additivity is checked
+    scalar-wise on every in-box pair and by the norms of the defect
+    operators of _MATRIX_SAMPLES evenly spaced pairs; homogeneity by defect
+    norms along basis rays.  The rows of both matrix checks come from one
     `_family_rows` pass each, and a defect's norm is the Frobenius norm of
     its values on the row stencil, an upper bound on its spectral norm.
     """
     points, box = lattice_points(gauge.dim, gauge.box), gauge.box
     coords = _coords(gauge.dim, box)
-    theta = np.zeros(len(points))
-    if homogeneity is not None:
-        for axis in range(gauge.dim):
-            ray = [homogeneity.zeta_value(axis, x) if x else 0.0 for x in range(-box, box + 1)]
-            theta += np.take(ray, coords[:, axis] + box)
+    theta = np.zeros(len(points)) if homogeneity is None else homogeneity.theta(coords)
     shifts = gauge.values - gamma.values - theta
     improved = OperatorFamily(rep, box, shifts)
 

@@ -153,10 +153,16 @@ def build_rep(n: int, levels: int, max_dim: int = DEFAULT_MAX_DIM) -> FockRep:
 
 def generator_values(rep: FockRep, f) -> np.ndarray:
     """Values of G_f on the representation's row stencil: the weighted sum
-    of the Q_k, P_k value rows."""
-    fv = symplectic.as_vector(rep.space, f)
-    data = np.zeros(rep.cols.shape, dtype=complex)
-    for weight, values in zip(fv, rep.entries):
+    of the Q_k, P_k value rows.  For a points x dim array f, the values of
+    every point's G_f stacked along a leading axis; the sum is element-wise,
+    so each has the bits of its point's own."""
+    points = np.asarray(f, dtype=float)
+    if points.ndim == 2 and points.shape[1] == rep.space.dim:
+        weights = points.T[..., None, None]
+    else:
+        weights = symplectic.as_vector(rep.space, points)
+    data = np.zeros((*points.shape[:-1], *rep.cols.shape), dtype=complex)
+    for weight, values in zip(weights, rep.entries):
         data += weight * values
     return data
 

@@ -27,7 +27,7 @@ def random_setup(rep):
 
 
 def dense(family, f):
-    return fock.PatternMatrix(family.rep, family.values(f)).toarray()
+    return fock.PatternMatrix(family.rep, family.rows([f])[0]).toarray()
 
 
 def extract_xi(rep, gauge, f, g, cutoff=coh.DEFAULT_CUTOFF, seed=0):
@@ -39,25 +39,19 @@ def extract_xi(rep, gauge, f, g, cutoff=coh.DEFAULT_CUTOFF, seed=0):
 
 
 def plant(monkeypatch, bump):
-    """Calls bump(rep, f, values) on the stencil values of every point f a
-    family builds: per point (`fock.generator_values`, which `fock.generator`
-    and `OperatorFamily.values` read) and in the whole-lattice pass
-    (`coh._family_rows`), so every path sees the same fault."""
-    plain_values, plain_rows = fock.generator_values, coh._family_rows
+    """Calls bump(rep, f, values) on the stencil values of every point f that
+    `fock.generator_values` builds, one point or a stack of them, which every
+    generator and family reads."""
+    plain = fock.generator_values
 
     def generator_values(rep_, f):
-        out = plain_values(rep_, f)
-        bump(rep_, tuple(float(x) for x in f), out)
-        return out
-
-    def family_rows(rep_, points, shifts):
-        out = plain_rows(rep_, points, shifts)
-        for p, values in zip(np.reshape(points, (len(out), -1)), out):
-            bump(rep_, tuple(float(x) for x in p), values)
+        out = plain(rep_, f)
+        points = np.asarray(f, dtype=float).reshape(-1, rep_.space.dim)
+        for p, values in zip(points, out.reshape(-1, *rep_.cols.shape)):
+            bump(rep_, tuple(p.tolist()), values)
         return out
 
     monkeypatch.setattr(fock, "generator_values", generator_values)
-    monkeypatch.setattr(coh, "_family_rows", family_rows)
 
 
 def closed_form_xi(gauge, f, g):
@@ -404,11 +398,18 @@ def test_build_cocycle_names_first_non_scalar_pair(rep, monkeypatch):
         extract_xi(rep, gauge, *first)
 
 
+def unit_shift_tol(xi):
+    """The bound `verify_cocycle` holds the unit shifts to: COCYCLE_TOL over
+    the most (3dB - 2) that a defect can grow by on the way to any h."""
+    return coh.COCYCLE_TOL / (3 * xi.dim * xi.box - 2)
+
+
 def assert_cocycle_check_matches_loops(xi):
     # the same triples as the loop over the unit shifts, bit for bit; a
-    # subset of the full loop's, so the same verdict and a defect no larger
+    # subset of the full loop's, so a defect no larger, and on these tables,
+    # far from the tolerance, the same verdict
     got = coh.verify_cocycle(xi)
-    assert got == loop_verify_cocycle(xi, shifts=unit_shifts(xi.dim))
+    assert got == loop_verify_cocycle(xi, unit_shift_tol(xi), shifts=unit_shifts(xi.dim))
     ok, defect = loop_verify_cocycle(xi)
     assert got[0] == ok and got[1] <= defect
     return got
@@ -469,6 +470,22 @@ def test_coboundary_equals_reference_loop(random_setup):
             coh._coboundary(holed, 2, box)
 
 
+@pytest.mark.parametrize("eps, check_ok, loop_ok", [(3e-13, True, True), (1e-11, False, True),
+                                                    (2e-11, False, False)])
+def test_cocycle_check_passes_only_what_the_loop_passes(eps, check_ok, loop_ok):
+    # xi(f, g) = eps * (f+g)_0 on box 3 of the plane gives D(f,g,h) = eps *
+    # (f_0 - h_0): 4 eps at most at the unit shifts, 6 eps at f = (-3, 0), h =
+    # (3, 0).  The unit shifts are held to COCYCLE_TOL / 16, so the check
+    # passes only where every triple is within COCYCLE_TOL
+    points = np.array(lattice(2, 3))
+    add = coh._addition_table(2, 3)
+    values = np.where(add >= 0, eps * np.add.outer(points[:, 0], points[:, 0]), np.nan)
+    xi = coh.Cocycle(2, 3, values)
+    ok, defect = coh.verify_cocycle(xi)
+    assert (ok, defect) == (check_ok, pytest.approx(4 * eps))
+    assert loop_verify_cocycle(xi) == (loop_ok, pytest.approx(6 * eps))
+
+
 def test_verify_cocycle_missing_pairs_raise_like_the_loop(random_setup):
     _, xi, _ = random_setup
     no_mirror = edited(xi, {((0, 1), (1, 0)): np.nan})
@@ -491,7 +508,7 @@ def test_verify_cocycle_missing_pairs_raise_like_the_loop(random_setup):
 )
 def test_cocycle_check_rejects_what_the_loop_rejects(modes, levels, box, cutoff, pairs):
     # each stored pair in turn, moved by 1e-6 together with its mirror: the
-    # unit-shift check must give the full loop's verdict on every table.
+    # unit-shift check must reject every table the full loop rejects.
     # The loop checks all corrupted tables at once, stacked on a third axis
     rep_ = fock.build_rep(modes, levels)
     xi = coh.build_cocycle(rep_, coh.random_gauge(2 * modes, box, seed=11), cutoff=cutoff)
@@ -594,7 +611,9 @@ def test_family_rows_have_the_bits_of_per_point_values(modes, levels):
     rows = fam.rows(points)
     assert rows.shape == (len(points), *rep_.cols.shape)
     for p, row in zip(points, rows):
-        assert row.tobytes() == fam.values(p).tobytes(), p
+        values = fock.generator_values(rep_, p)
+        values[rep_.diagonal] += fam.shift(p)
+        assert row.tobytes() == values.tobytes(), p
 
 
 def test_family_dimension_mismatch(rep):
@@ -730,7 +749,7 @@ def test_theta_assembly(rep, random_setup):
     data = coh.extract_theta(fam)  # the box of random_setup's gauge, 3
     # integer coordinates are always covered, and the corrected family is
     # homogeneous already, so the assembled correction vanishes
-    assert data.theta((3, -2)) == pytest.approx(0.0, abs=1e-9)
+    assert data.theta([(3, -2)]) == pytest.approx([0.0], abs=1e-9)
     with pytest.raises(KeyError):
         data.zeta_value(0, 0.25)
 
@@ -745,7 +764,7 @@ def test_improve_zero_gauge_is_identity(rep):
     gamma = coh.solve_coboundary(xi)
     improved = coh.improve_family(rep, gauge, gamma)
     f = (1, 1)
-    assert np.allclose(improved.values(f), fock.generator_values(rep, f), atol=1e-14)
+    assert np.allclose(improved.rows([f])[0], fock.generator_values(rep, f), atol=1e-14)
 
 
 def test_improve_quadratic_gauge(rep):
@@ -769,15 +788,23 @@ def test_improve_quadratic_gauge(rep):
 
 def test_improve_shifts_take_theta_point_by_point(rep, random_setup):
     # linear scaling defects keep the improved family additive; its shifts
-    # must hold c - gamma - theta(p) with theta summed as `theta` sums it
+    # must hold c - gamma - theta(p), theta(p) summed over p's nonzero
+    # coordinates axis by axis
     gauge, _, gamma = random_setup
     keys = sorted(set(coh.DEFAULT_SCALAR_GRID) | {float(x) for x in range(-3, 4)})
     zeta = {axis: {coh._ray_key(c): slope * c for c in keys}
             for axis, slope in enumerate((0.37, -1.3))}
     homogeneity = coh.HomogeneityData(dim=2, box=3, zeta=zeta)
     improved = coh.improve_family(rep, gauge, gamma, homogeneity)
-    theta = [homogeneity.theta(p) for p in coh.lattice_points(2, 3)]
+    theta = []
+    for p in coh.lattice_points(2, 3):
+        total = 0.0
+        for axis, x in enumerate(p):
+            if x:
+                total += zeta[axis][coh._ray_key(x)]
+        theta.append(total)
     expected = gauge.values - gamma.values - np.array(theta)
+    assert homogeneity.theta(coh.lattice_points(2, 3)).tobytes() == np.array(theta).tobytes()
     assert improved.lattice_shifts.tobytes() == expected.tobytes()
 
 

@@ -101,6 +101,19 @@ def test_generator_matches_dense_sum(modes, levels):
     assert np.array_equal(fock.generator_values(rep, f), fock.generator(rep, f).data)
 
 
+@pytest.mark.parametrize("modes, levels", [(1, 7), (2, 5)])
+def test_stacked_generator_values_have_the_bits_of_each_point(modes, levels):
+    rep = fock.build_rep(modes, levels)
+    points = np.random.default_rng(modes).standard_normal((6, 2 * modes))
+    points[0] = 0.0
+    stacked = fock.generator_values(rep, points)
+    assert stacked.shape == (len(points), *rep.cols.shape)
+    for p, values in zip(points, stacked):
+        assert values.tobytes() == fock.generator_values(rep, p).tobytes()
+    with pytest.raises(ValueError):
+        fock.generator_values(rep, points[:, :-1])
+
+
 @pytest.mark.parametrize("modes, levels", [(1, 64), (2, 12), (3, 6)])
 def test_pattern_product_is_bitwise_scipys_csc_product(modes, levels):
     rep = fock.build_rep(modes, levels)
