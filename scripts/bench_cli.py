@@ -9,12 +9,12 @@ parent with that one child.  Runs of the given trees alternate, so that a
 drift of the machine touches both alike, and the median of each command's
 runs is reported.
 
-The commands are `verify` on the `quick`, `default` and `two_mode` configs,
-`cohomology` with one mode at the defaults and with two modes (N=8, box 2)
-on the zero gauge and on `random_gauge(4, 2, seed=1)`, whose report is about
-four times larger, with two modes on `random_gauge(4, 3, seed=1)` (box 3,
-2401 lattice points), and one `eval`.  Reports go to a scratch file, not to the
-terminal.  BLAS runs at its default threading unless OPENBLAS_NUM_THREADS is
+The commands are `verify` on the `quick`, `default`, `two_mode` and
+`two_mode_ladder` configs, `cohomology` with one mode at the defaults and
+with two modes (N=8, box 2) on the zero gauge and on
+`random_gauge(4, 2, seed=1)`, whose report is about four times larger, with
+two modes on `random_gauge(4, 3, seed=1)` (box 3, 2401 lattice points), and
+one `eval`.  Reports go to a scratch file, not to the terminal.  BLAS runs at its default threading unless OPENBLAS_NUM_THREADS is
 set beforehand; the environment (CPUs, BLAS libraries and their thread
 counts) is recorded with the timings, since the numbers compare only within
 one environment.
@@ -46,6 +46,7 @@ COMMANDS = {
     "verify_quick": ["verify", "--config", "configs/quick.json"],
     "verify_default": ["verify", "--config", "configs/default.json"],
     "verify_two_mode": ["verify", "--config", "configs/two_mode.json"],
+    "verify_two_mode_ladder": ["verify", "--config", "configs/two_mode_ladder.json"],
     "cohomology_1m": ["cohomology"],
     "cohomology_2m_box2": ["cohomology", "--config", "configs/two_mode.json", "--trunc", "8",
                            "--gauge", "{gauge}"],

@@ -232,22 +232,34 @@ def gauge_to_json(gauge: GaugeFunction) -> str:
     return json.dumps(entries, sort_keys=True)
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; a boolean or a string is not one, and an
+    integer beyond the float range is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a JSON number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{value} is not finite") from exc
+
+
 def gauge_from_json(text: str) -> GaugeFunction:
     """Reads a list of {"f": point, "c": value}; the box is the largest
     coordinate, at least 1.  Raises ValueError for an entry of another form,
-    a point that is not a list of integers, a value that is not finite, or
-    a point of the box (other than the origin) that the file leaves out."""
+    a point that is not a list of integers, a value that is not a finite
+    number (booleans and strings are not numbers), or a point of the box
+    (other than the origin) that the file leaves out."""
     entries = json.loads(text)
     if not isinstance(entries, list) or not entries:
         raise ValueError("gauge file must be a nonempty JSON list")
     try:
-        points = [[float(x) for x in entry["f"]] for entry in entries]
-        values = np.array([float(entry["c"]) for entry in entries])
+        for entry in entries:  # a string or an object also iterates
+            if not isinstance(entry["f"], list):
+                raise ValueError(f"gauge point {entry['f']!r} is not a JSON list")
+        points = [[_json_number(x) for x in entry["f"]] for entry in entries]
+        values = np.array([_json_number(entry["c"]) for entry in entries])
     except (TypeError, KeyError) as exc:
         raise ValueError(f'entries must be {{"f": point, "c": value}}: {exc}') from exc
-    for entry in entries:  # a string or an object also iterates
-        if not isinstance(entry["f"], list):
-            raise ValueError(f"gauge point {entry['f']!r} is not a JSON list")
     dim = len(points[0])
     if any(len(p) != dim for p in points):
         raise ValueError("inconsistent vector lengths in gauge file")
@@ -398,7 +410,11 @@ def _probe_rows(rows: np.ndarray, weights: np.ndarray, tol: float, name) -> np.n
 
 
 def build_cocycle(
-    rep: fock.FockRep, gauge: GaugeFunction, cutoff: int = DEFAULT_CUTOFF, seed: int = 0
+    rep: fock.FockRep,
+    gauge: GaugeFunction,
+    cutoff: int = DEFAULT_CUTOFF,
+    seed: int = 0,
+    rayleigh=None,
 ) -> Cocycle:
     """Extracts xi over every valid ordered lattice pair.
 
@@ -408,11 +424,13 @@ def build_cocycle(
     the pair, so it is combined from those rows for the pairs f <= g in
     lattice order only, row-major, a chunk at a time; each chunk is probed
     by `_probe_rows`, so NotScalarError names the first failing pair, and
-    each value is mirrored.
+    each value is mirrored; sums that overflow fail there too, without
+    numpy warnings.  `rayleigh` is `_rayleigh_weights(rep, cutoff, seed)`,
+    built here when None.
     """
     points = lattice_points(gauge.dim, gauge.box)
     add = _addition_table(gauge.dim, gauge.box)
-    seen, weights = _rayleigh_weights(rep, cutoff, seed)
+    seen, weights = rayleigh or _rayleigh_weights(rep, cutoff, seed)
     family = family_from_gauge(rep, gauge)
     gens = _family_rows(rep, _coords(gauge.dim, gauge.box), family.lattice_shifts)
     gens = gens[:, seen[0], seen[1]]
@@ -423,10 +441,12 @@ def build_cocycle(
     # matrix-vector one, which rounds differently
     chunks = max(1, len(rows) // max(2, _CHUNK_ENTRIES // gens.shape[1]))
     for f, g in zip(np.array_split(rows, chunks), np.array_split(cols, chunks)):
-        values[f, g] = values[g, f] = _probe_rows(
-            gens[f] + gens[g] - gens[add[f, g]], weights, fock.SCHUR_TOL,
-            lambda n: f"f={points[f[n]]}, g={points[g[n]]}",
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair_rows = gens[f] + gens[g] - gens[add[f, g]]
+            values[f, g] = values[g, f] = _probe_rows(
+                pair_rows, weights, fock.SCHUR_TOL,
+                lambda n: f"f={points[f[n]]}, g={points[g[n]]}",
+            )
     return Cocycle(dim=gauge.dim, box=gauge.box, values=values)
 
 
@@ -612,14 +632,14 @@ def extract_zeta(
     return _zeta_tables(family, (axis,), grid, cutoff, seed)[axis]
 
 
-def _zeta_tables(family: OperatorFamily, axes, grid, cutoff, seed) -> dict:
+def _zeta_tables(family: OperatorFamily, axes, grid, cutoff, seed, rayleigh=None) -> dict:
     """`extract_zeta`'s table for each of `axes`, axis by axis, from one
-    `_rayleigh_weights` build and the rows of every axis's rays, built in
-    one pass."""
+    `_rayleigh_weights` build (`rayleigh`, built here when None) and the
+    rows of every axis's rays, built in one pass."""
     grid = [float(c) for c in grid]
     if not any(c == 0.0 for c in grid) or not any(c == 1.0 for c in grid):
         raise ValueError("scalar grid must contain 0 and 1")
-    seen, weights = _rayleigh_weights(family.rep, cutoff, seed)
+    seen, weights = rayleigh or _rayleigh_weights(family.rep, cutoff, seed)
     # per axis, the unit e and then c*e for each c of the grid
     scalars = np.array([1.0, *grid])
     eye = np.eye(family.rep.space.dim)
@@ -646,14 +666,14 @@ def _zeta_tables(family: OperatorFamily, axes, grid, cutoff, seed) -> dict:
 
 
 def extract_theta(
-    family: OperatorFamily, cutoff: int = DEFAULT_CUTOFF, seed: int = 0
+    family: OperatorFamily, cutoff: int = DEFAULT_CUTOFF, seed: int = 0, rayleigh=None
 ) -> HomogeneityData:
     """Assembles per-axis scaling tables on DEFAULT_SCALAR_GRID, extended by
     the integers of the family's lattice box so every lattice point has a
-    correction value."""
+    correction value.  `rayleigh` is as in `build_cocycle`."""
     box, dim = family.box, family.rep.space.dim
     grid = sorted(set(DEFAULT_SCALAR_GRID) | set(map(float, range(-box, box + 1))))
-    zeta = _zeta_tables(family, range(dim), grid, cutoff, seed)
+    zeta = _zeta_tables(family, range(dim), grid, cutoff, seed, rayleigh)
     return HomogeneityData(dim=dim, box=box, zeta=zeta)
 
 
@@ -779,8 +799,10 @@ def run_pipeline(
         "all_pass": False,
     }
 
+    # the probe block and its weights, for build_cocycle and extract_theta
+    rayleigh = _rayleigh_weights(rep, cutoff, seed)
     try:
-        xi = build_cocycle(rep, gauge, cutoff=cutoff, seed=seed)
+        xi = build_cocycle(rep, gauge, cutoff=cutoff, seed=seed, rayleigh=rayleigh)
     except NotScalarError as exc:  # e.g. gauge values whose sums overflow
         stages["cocycle"] = {"ok": False, "error": str(exc)}
         return report
@@ -821,7 +843,7 @@ def run_pipeline(
 
     corrected = corrected_family(rep, gauge, gamma)
     try:
-        homogeneity = extract_theta(corrected, cutoff=cutoff, seed=seed)
+        homogeneity = extract_theta(corrected, cutoff=cutoff, seed=seed, rayleigh=rayleigh)
     except (AdditivityError, NotScalarError) as exc:
         stages["homogeneity"] = {"ok": False, "error": str(exc)}
         return report

@@ -22,8 +22,11 @@ import re
 from dataclasses import dataclass
 
 # a sum of coefficients on one word cancels when it is at most this times
-# the sum of their magnitudes (relative, so tiny genuine terms survive)
+# the sum of their magnitudes (relative, so tiny genuine terms survive), or
+# at most CANCEL_FLOOR: among subnormal coefficients, where that product
+# underflows, rounding errors are absolute, about math.ulp(0.0) per operation
 CANCEL_EPS = 1e-14
+CANCEL_FLOOR = 16 * math.ulp(0.0)
 # |norm(f) - 1| below this counts as unit length, so R3 does not refire
 UNIT_EPS = 1e-14
 
@@ -76,7 +79,7 @@ def _normalize(terms):
         if len(coeffs) == 1:
             if total == 0:
                 continue
-        elif abs(total) <= CANCEL_EPS * sum(abs(c) for c in coeffs):
+        elif abs(total) <= max(CANCEL_EPS * sum(abs(c) for c in coeffs), CANCEL_FLOOR):
             continue
         out.append((total, word))
     out.sort(key=lambda t: _word_key(t[1]))

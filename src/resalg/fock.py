@@ -231,7 +231,7 @@ class ResolventSolver:
         else:
             self._lu = _tridiagonal_lu(rep, self._matrix_a.data)
         self._full = None
-        self.backward_error = self._check(self._solve(_probes(self.dim), False))
+        self.backward_error = self._check(self._solve(_probes(self.dim)))
 
     def _spectral_setup(self, rep: FockRep, z: complex):
         u, x = rep.basis
@@ -257,30 +257,24 @@ class ResolventSolver:
         full = (rep.levels,) * rep.modes
         self._inverse = np.broadcast_to(1.0 / denom, full).reshape(-1, 1)
 
-    def _solve(self, block: np.ndarray, adjoint: bool) -> np.ndarray:
+    def _solve(self, block: np.ndarray) -> np.ndarray:
         y = np.asarray(block, dtype=complex).reshape(self.dim, -1)
         if self._lu is not None:
-            y, _ = _gttrf_gttrs()[1](*self._lu, y, trans="C" if adjoint else "N")
+            y, _ = _gttrf_gttrs()[1](*self._lu, y)
             return y.reshape(np.shape(block))
         n = self._levels
         # V* y, then the diagonal, then V: mode k is axis 1 of the
         # (n**k, n, rest) view, and U acts on the real and imaginary parts
         for k, phase in self._phases:
             y = _real_matmul(self._u.T, y.reshape(n ** k, n, -1) * phase.conj()[:, None])
-        y = y.reshape(self.dim, -1) * (self._inverse.conj() if adjoint else self._inverse)
+        y = y.reshape(self.dim, -1) * self._inverse
         for k, phase in self._phases:
             y = _real_matmul(self._u, y.reshape(n ** k, n, -1)) * phase[:, None]
         return y.reshape(np.shape(block))
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """Returns R @ block."""
-        return self._solve(block, False)
-
-    def apply_adjoint(self, block: np.ndarray) -> np.ndarray:
-        """Returns R* @ block: a conjugate-transpose solve with the same
-        factors, or the conjugate diagonal in the same eigenbasis (checked by
-        the same construction-time probe as `apply`)."""
-        return self._solve(block, True)
+        return self._solve(block)
 
     def matrix(self) -> np.ndarray:
         """The full resolvent, formed once per solver; read-only."""

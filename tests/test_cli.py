@@ -495,6 +495,31 @@ def test_cohomology_gauge_point_of_a_string_exits_2(capsys, tmp_path):
     assert "'10'" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, shown",
+    [
+        ("f", [True, False], "True"),
+        ("c", True, "True"),
+        ("c", "0.5", "'0.5'"),
+        ("f", [10**400, 0], "is not finite"),
+    ],
+    ids=["bool-point", "bool-value", "string-value", "huge-integer-point"],
+)
+def test_cohomology_gauge_of_non_numbers_exits_2(capsys, tmp_path, key, value, shown):
+    # the full box [-1, 1]^2, with one entry of (1, 0) replaced
+    entries = json.loads(cohomology.gauge_to_json(cohomology.zero_gauge(2, 1)))
+    next(e for e in entries if e["f"] == [1, 0])[key] = value
+    path = tmp_path / "gauge.json"
+    path.write_text(json.dumps(entries))
+    code, out, err = run_cli(
+        capsys, "cohomology", "--trunc", "16", "--gauge", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: bad gauge file: ")
+    assert shown in err
+
+
 def test_cohomology_unreadable_gauge_exits_2(capsys, tmp_path):
     path = tmp_path / "gauge.json"
     path.write_text("not json at all")
@@ -589,6 +614,19 @@ def test_cohomology_overflowing_gauge_fails_the_cocycle_stage(capsys, tmp_path):
     assert "not a real multiple of the identity" in report["stages"]["cocycle"]["error"]
     assert "xi" not in report
     assert err.endswith("failed stages: cocycle\n")
+
+
+def test_cohomology_overflowing_gauge_prints_only_the_stage_line(tmp_path):
+    # in a fresh interpreter, where numpy's RuntimeWarnings would reach stderr
+    path = tmp_path / "gauge.json"
+    path.write_text(_HUGE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "resalg.cli", "cohomology", "--trunc", "8", "--gauge", str(path),
+         "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "failed stages: cocycle\n"
 
 
 # ---------------------------------------------------------------------------

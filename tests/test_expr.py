@@ -347,6 +347,11 @@ def test_adjoint_involution(e):
 @example(
     e=Expr(((2.7003803174354097e-176, parse("R(1,[1,0])*R(2,[1,0])*R(-1,[1,0])").terms[0][1]),))
 )
+# a subnormal coefficient: the two orders leave sums of +-5e-324, below the
+# relative cutoff's underflow, which CANCEL_FLOOR cancels
+@example(
+    e=Expr(((2.2250738585e-313 + 0j, parse("R(1,[1,0])*R(2,[1,0])*R(-2+0.5i,[1,0])").terms[0][1]),))
+)
 def test_adjoint_commutes_with_simplify(e):
     # different reduction orders may round final ulps differently, so the
     # comparison goes through the rewriter rather than bit equality
