@@ -13,11 +13,13 @@ The commands are `verify` on the `quick`, `default`, `two_mode` and
 `two_mode_ladder` configs, `cohomology` with one mode at the defaults and
 with two modes (N=8, box 2) on the zero gauge and on
 `random_gauge(4, 2, seed=1)`, whose report is about four times larger, with
-two modes on `random_gauge(4, 3, seed=1)` (box 3, 2401 lattice points), and
-one `eval`.  Reports go to a scratch file, not to the terminal.  BLAS runs at its default threading unless OPENBLAS_NUM_THREADS is
-set beforehand; the environment (CPUs, BLAS libraries and their thread
-counts) is recorded with the timings, since the numbers compare only within
-one environment.
+two modes on `random_gauge(4, 3, seed=1)` (box 3, 2401 lattice points), with
+two modes at N=48 and N=64 on `random_gauge(4, 1, seed=1)` (box 1, where the
+representation's dimension dominates), and one `eval`.  Reports go to a
+scratch file, not to the terminal.  BLAS runs at its default threading
+unless OPENBLAS_NUM_THREADS is set beforehand; the environment (CPUs, BLAS
+libraries and their thread counts) is recorded with the timings, since the
+numbers compare only within one environment.
 
 Usage, from the root of a checkout:
     python3 scripts/bench_cli.py [--tree LABEL=SRC ...] [--runs 5] [--out FILE]
@@ -54,6 +56,10 @@ COMMANDS = {
                                   "--trunc", "8", "--gauge", "{random_gauge}"],
     "cohomology_2m_box3_random": ["cohomology", "--config", "configs/two_mode.json",
                                   "--trunc", "8", "--gauge", "{random_gauge_box3}"],
+    "cohomology_2m_box1_n48": ["cohomology", "--config", "configs/two_mode.json",
+                               "--trunc", "48", "--gauge", "{random_gauge_box1}"],
+    "cohomology_2m_box1_n64": ["cohomology", "--config", "configs/two_mode.json",
+                               "--trunc", "64", "--gauge", "{random_gauge_box1}"],
     "eval": ["eval", "R(1,[1,0])*R(-2,[0.5,1])", "--trunc", "64"],
 }
 
@@ -127,8 +133,9 @@ def main(argv=None) -> int:
         (scratch / "gauge.json").write_text(cohomology.gauge_to_json(cohomology.zero_gauge(4, 2)))
         (scratch / "random_gauge.json").write_text(
             cohomology.gauge_to_json(cohomology.random_gauge(4, 2, seed=1)))
-        (scratch / "random_gauge_box3.json").write_text(
-            cohomology.gauge_to_json(cohomology.random_gauge(4, 3, seed=1)))
+        for box in (1, 3):
+            (scratch / f"random_gauge_box{box}.json").write_text(
+                cohomology.gauge_to_json(cohomology.random_gauge(4, box, seed=1)))
         for name, command in COMMANDS.items():
             runs = {label: [] for label in trees}
             for _ in range(args.runs):

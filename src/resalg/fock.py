@@ -17,9 +17,10 @@ one weighted sum of value arrays (`PatternMatrix`).  A resolvent
 (`ResolventSolver`) applies (iz + G_f)^-1 to blocks of columns without
 forming it: with one mode of N >= 3 by the LAPACK tridiagonal LU
 (?gttrf/?gttrs) of iz + G_f, otherwise by the eigenbasis of one mode's
-truncated Q (`FockRep.basis`).  Dense matrices are formed only on request: full
-resolvents and evaluated expressions.  No scipy package is imported: LAPACK
-comes from scipy's extension module (`lapack`).
+truncated Q (`FockRep.basis`).  Dense matrices are formed only on request:
+evaluated expressions, and full resolvents (`ResolventSolver.matrix`), which
+no command forms.  No scipy package is imported: LAPACK comes from scipy's
+extension module (`lapack`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from resalg import symplectic
 from resalg.expr import DomainError, Expr
 
-# caps the dimension: full resolvents and evaluated expressions are dense
+# caps the dimension: evaluated expressions are dense
 DEFAULT_MAX_DIM = 4096
 
 # a factorization whose probe residual exceeds this times max(1, |z|) is
@@ -230,7 +231,6 @@ class ResolventSolver:
             self._spectral_setup(rep, z)
         else:
             self._lu = _tridiagonal_lu(rep, self._matrix_a.data)
-        self._full = None
         self.backward_error = self._check(self._solve(_probes(self.dim)))
 
     def _spectral_setup(self, rep: FockRep, z: complex):
@@ -277,13 +277,11 @@ class ResolventSolver:
         return self._solve(block)
 
     def matrix(self) -> np.ndarray:
-        """The full resolvent, formed once per solver; read-only."""
-        if self._full is None:
-            out = self.apply(np.eye(self.dim, dtype=complex))
-            self._check(out @ _probes(self.dim))
-            out.setflags(write=False)
-            self._full = out
-        return self._full
+        """The full resolvent; read-only."""
+        out = self.apply(np.eye(self.dim, dtype=complex))
+        self._check(out @ _probes(self.dim))
+        out.setflags(write=False)
+        return out
 
     def _check(self, solved: np.ndarray) -> float:
         """Residual of (iz + G_f) @ solved against the probe columns that

@@ -223,18 +223,22 @@ def _check(relation, reps, params, m, tol, exact, residual) -> RelationCheck:
 # individual checks
 
 
+def _pseudo_block(a, b, x: np.ndarray) -> np.ndarray:
+    """(R_a - R_b - i(z_b - z_a) R_a R_b) x for the solvers a and b at z_a
+    and z_b: the pseudo-resolvent residual applied to the columns x."""
+    bx = b.apply(x)
+    block = a.apply(x) - bx
+    block -= 1j * (b.z - a.z) * a.apply(bx)
+    return block
+
+
 def check_pseudo_resolvent(reps, f, lam, mu, m):
     """R(lam,f) - R(mu,f) = i(mu-lam) R(lam,f) R(mu,f), exact in matrix algebra."""
     if complex(lam) == complex(mu):
         raise ValueError("pseudo-resolvent check needs two distinct parameters")
 
     def residual(cache, idx, sel):
-        a = cache.solver(lam, f)
-        b = cache.solver(mu, f)
-        b_sel = b.apply(sel)
-        block = a.apply(sel) - b_sel
-        block -= 1j * (complex(mu) - complex(lam)) * a.apply(b_sel)
-        return block[idx]
+        return _pseudo_block(cache.solver(lam, f), cache.solver(mu, f), sel)[idx]
 
     return _check("pseudo", reps, _params(f, lam=lam, mu=mu), m, EXACT_TOL, True, residual)
 
@@ -503,6 +507,8 @@ class Config:
                 raise ConfigError(f"bad {name}: {exc}") from exc
         if self.modes < 1:
             raise ConfigError("modes must be a positive integer")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"bad seed: {self.seed} is negative")
         trunc = self.truncations
         if not trunc:
             raise ConfigError("truncation list must be nonempty")

@@ -53,3 +53,10 @@ def csc_from_stencil(rep: fock.FockRep, data: np.ndarray):
 def csc_generator(rep: fock.FockRep, f):
     """G_f as scipy's CSC matrix, built by `csc_from_stencil`."""
     return csc_from_stencil(rep, fock.generator_values(rep, f))
+
+
+def family_resolvent(family, z, f) -> np.ndarray:
+    """Dense resolvent (iz + G_f + s(f))^-1 of a shifted operator family: the
+    plain solver's full matrix at z - i s(f)."""
+    shifted = complex(z) - 1j * family.shift(f)
+    return fock.ResolventSolver(family.rep, shifted, f).matrix()

@@ -13,7 +13,7 @@ import time
 import numpy as np
 from scipy.linalg import block_diag
 
-from conftest import csc_generator, random_expression
+from conftest import csc_generator, family_resolvent, random_expression
 from resalg import cohomology as coh
 from resalg import fock, symplectic, verify
 from resalg.expr import parse, simplify
@@ -181,10 +181,10 @@ def test_gauge_correction_round_trip():
         assert recon <= 1e-9
         theta = coh.extract_theta(coh.corrected_family(rep, gauge, gamma))
         improved = coh.improve_family(rep, gauge, gamma, theta)
-        r_lam = improved.resolvent(lam, f)
-        r_mu = improved.resolvent(mu, f)
+        r_lam = family_resolvent(improved, lam, f)
+        r_mu = family_resolvent(improved, mu, f)
         diff = _snorm(r_lam @ r_mu * (1j * (mu - lam)) - (r_lam - r_mu))
-        adjoint = _snorm(r_lam.conj().T - improved.resolvent(-lam, f))
+        adjoint = _snorm(r_lam.conj().T - family_resolvent(improved, -lam, f))
         assert diff <= 1e-10
         assert adjoint <= 1e-12
         worst["cocycle"] = max(worst["cocycle"], defect)

@@ -158,7 +158,8 @@ def test_verify_nonstandard_space_exits_2(capsys, tmp_path):
      ("scales", [float("inf")], "bad scales"),
      ("--tol", "inf", "bad tolerance"),
      ("probes", ["R(1,[1,0]"], "bad probes: 'R(1,[1,0]': expected ')'"),
-     ("probes", ["Q1", "R(1,[1,0,0,0])"], "bad probes: 'R(1,[1,0,0,0])': letter has dimension 4")],
+     ("probes", ["Q1", "R(1,[1,0,0,0])"], "bad probes: 'R(1,[1,0,0,0])': letter has dimension 4"),
+     ("seed", -1, "bad seed: -1 is negative"), ("--seed", "-1", "bad seed: -1 is negative")],
 )
 def test_verify_rejected_config_value_exits_2(capsys, tmp_path, key, value, message):
     # a key that starts with "--" is given as a command-line flag
@@ -173,6 +174,21 @@ def test_verify_rejected_config_value_exits_2(capsys, tmp_path, key, value, mess
     assert out == ""
     assert err.startswith("config error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("command", [("cohomology",), ("schur", "--pair", "1,0;0,1")])
+@pytest.mark.parametrize("flags, seed", [(("--seed", "-1"), None), ((), -1)])
+def test_negative_seed_exits_2_before_the_run(capsys, tmp_path, command, flags, seed):
+    # numpy's generators reject a negative seed; the config does so first
+    config = {"truncations": [8], "compression": 4}
+    if seed is not None:
+        config["seed"] = seed
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, *command, "--config", str(path), *flags)
+    assert code == 2
+    assert out == ""
+    assert err == "config error: bad seed: -1 is negative\n"
 
 
 @pytest.mark.parametrize("family, key, value", [
@@ -361,6 +377,13 @@ def test_cohomology_report_holds_the_v1_golden_values(capsys, tmp_path):
         v1 = json.loads((GOLDEN_V1 / f"{name}.cohomology.json").read_text())
         v2 = json.loads(path.read_text())
         assert v2["schema_version"] == 2
+        # the last stage's defect is now a randomized upper bound, not schema
+        # 1's dense SVD norm: its flag agrees, and the bound clears the tolerance
+        bound, dense = (r["stages"].pop("improved_resolvents", None) for r in (v2, v1))
+        assert (bound is None) == (dense is None), name
+        if bound is not None:
+            assert bound.keys() == dense.keys() and bound["ok"] == dense["ok"], name
+            assert bound["defect"] <= cohomology.IMPROVE_TOL, name
         for key in ("box", "dim", "stages", "all_pass"):
             assert v2[key] == v1[key], (name, key)
         index = {tuple(p): i for i, p in enumerate(v2["points"])}
@@ -385,6 +408,27 @@ def test_cohomology_report_holds_the_v1_golden_values(capsys, tmp_path):
         for i, entry in enumerate(v1.get("gamma", ())):
             assert index[tuple(entry["f"])] == i
             assert v2["gamma"][i] == entry["value"], (name, entry)
+
+
+def test_cohomology_failing_improved_resolvents_exit_1(capsys, monkeypatch):
+    # scales by 1 + 1e-6 the resolvents at the shifted parameters z - i s(e_1)
+    # that only the last stage factors (s(e_1) = 1 for this gauge)
+
+    class Planted(fock.ResolventSolver):
+        def apply(self, block):
+            return (1.0 + 1e-6 if self.z.imag else 1.0) * super().apply(block)
+
+    monkeypatch.setattr(fock, "ResolventSolver", Planted)
+    code, out, err = run_cli(
+        capsys, "cohomology", "--gauge", "configs/gauge_quadratic.json", "--trunc", "16"
+    )
+    assert code == 1
+    assert err == "failed stages: improved_resolvents\n"
+    report = json.loads(out)
+    stage = report["stages"]["improved_resolvents"]
+    assert stage["ok"] is False
+    assert stage["defect"] > cohomology.IMPROVE_TOL
+    assert report["all_pass"] is False
 
 
 def test_cohomology_corrupt_xi_exits_1(capsys):

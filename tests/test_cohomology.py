@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import family_resolvent
 from resalg import cohomology as coh
 from resalg import fock
 
@@ -596,7 +597,7 @@ def test_family_generator_and_resolvent(rep):
     f = (1, 1)
     gen = dense(fam, f)
     assert np.allclose(gen, fock.generator(rep, f).toarray() + 2.0 * np.eye(rep.dim))
-    r = fam.resolvent(1.0, f)
+    r = family_resolvent(fam, 1.0, f)
     lhs = (1j * np.eye(rep.dim) + gen) @ r
     assert np.allclose(lhs, np.eye(rep.dim), atol=1e-11)
 
@@ -837,9 +838,26 @@ def test_improve_detects_matrix_defects(rep, monkeypatch, bend, message):
 def test_improved_resolvents_keep_difference_identity(rep, random_setup):
     gauge, _, gamma = random_setup
     improved = coh.improve_family(rep, gauge, gamma)
-    r1 = improved.resolvent(1.0, (1, 0))
-    r2 = improved.resolvent(2.0, (1, 0))
+    r1 = family_resolvent(improved, 1.0, (1, 0))
+    r2 = family_resolvent(improved, 2.0, (1, 0))
     assert np.linalg.norm(r1 - r2 - 1j * (r1 @ r2), 2) <= 1e-10
+
+
+@pytest.mark.parametrize("modes, levels", [(1, 16), (2, 6)])
+def test_improved_resolvents_stage_bounds_the_dense_norm(modes, levels):
+    # the stage's randomized bound lies between the dense SVD norm of the
+    # difference-identity defect and the tolerance
+    rep_ = fock.build_rep(modes, levels)
+    gauge = coh.random_gauge(2 * modes, 1, seed=1)
+    stage = coh.run_pipeline(rep_, gauge)["stages"]["improved_resolvents"]
+    gamma = coh.solve_coboundary(coh.build_cocycle(rep_, gauge))
+    theta = coh.extract_theta(coh.corrected_family(rep_, gauge, gamma))
+    improved = coh.improve_family(rep_, gauge, gamma, theta)
+    f = coh._basis(2 * modes, 0)
+    r1, r2 = (family_resolvent(improved, z, f) for z in (1.0, 2.0))
+    dense = np.linalg.norm(r1 - r2 - 1j * (r1 @ r2), 2)
+    assert stage["ok"]
+    assert dense <= stage["defect"] <= coh.IMPROVE_TOL
 
 
 # ---------------------------------------------------------------------------
