@@ -232,17 +232,6 @@ def gauge_to_json(gauge: GaugeFunction) -> str:
     return json.dumps(entries, sort_keys=True)
 
 
-def _json_number(value) -> float:
-    """A JSON number as a float; a boolean or a string is not one, and an
-    integer beyond the float range is not finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{value!r} is not a JSON number")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ValueError(f"{value} is not finite") from exc
-
-
 def gauge_from_json(text: str) -> GaugeFunction:
     """Reads a list of {"f": point, "c": value}; the box is the largest
     coordinate, at least 1.  Raises ValueError for an entry of another form,
@@ -256,8 +245,8 @@ def gauge_from_json(text: str) -> GaugeFunction:
         for entry in entries:  # a string or an object also iterates
             if not isinstance(entry["f"], list):
                 raise ValueError(f"gauge point {entry['f']!r} is not a JSON list")
-        points = [[_json_number(x) for x in entry["f"]] for entry in entries]
-        values = np.array([_json_number(entry["c"]) for entry in entries])
+        points = [[verify._number(x) for x in entry["f"]] for entry in entries]
+        values = np.array([verify._number(entry["c"]) for entry in entries])
     except (TypeError, KeyError) as exc:
         raise ValueError(f'entries must be {{"f": point, "c": value}}: {exc}') from exc
     dim = len(points[0])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields, replace
 from functools import partial, reduce
@@ -36,7 +37,6 @@ FAMILY_ORDER = (
     "rel_iv",
     "almost_inner",
 )
-EXACT_FAMILIES = frozenset({"pseudo", "adjoint", "zero_vector", "rel_iii"})
 
 EXACT_TOL = 1e-9
 CONVERGENCE_SLACK = 1.1
@@ -129,12 +129,6 @@ class SolverCache:
         return self._generators[key]
 
 
-def _as_caches(reps) -> list:
-    if isinstance(reps, (fock.FockRep, SolverCache)):
-        reps = [reps]
-    return [r if isinstance(r, SolverCache) else SolverCache(r) for r in reps]
-
-
 # rel_iii's randomized norm bound (`_norm_bound`): NORM_BOUND_FACTOR times the
 # largest image of NORM_BOUND_COLUMNS seeded Gaussian columns, below the
 # spectral norm with probability at most FACTOR**(-2 * COLUMNS) = 1e-12
@@ -167,8 +161,8 @@ def _norm_bound(matvec, n: int) -> float:
     return NORM_BOUND_FACTOR * math.sqrt(squares.max())
 
 
-def _sigma(space, caches, f, g) -> float:
-    return symplectic.pair(space if space is not None else caches[0].rep.space, f, g)
+def _space(space, caches) -> symplectic.SymplecticSpace:
+    return space if space is not None else caches[0].rep.space
 
 
 def _scalar_param(z):
@@ -192,15 +186,14 @@ def _params(f=None, g=None, lam=None, mu=None, c=None, probe=None, sigma=None):
     return params
 
 
-def _check(relation, reps, params, m, tol, exact, residual) -> RelationCheck:
-    """The ladder driver: one residual per truncation level, then the verdict.
+def _check(relation, caches, params, m, tol, exact, residual) -> RelationCheck:
+    """The ladder driver: one residual per `SolverCache`, then the verdict.
 
     `residual(cache, idx, sel)` returns the box block of (left side - right
     side), whose spectral norm is the level's residual.  With m None the
     check is a full-norm one, reported with compression 0:
     `residual(cache, None, None)` returns the norm itself.
     """
-    caches = _as_caches(reps)
     residuals = []
     for cache in caches:
         if m is None:
@@ -232,7 +225,7 @@ def _pseudo_block(a, b, x: np.ndarray) -> np.ndarray:
     return block
 
 
-def check_pseudo_resolvent(reps, f, lam, mu, m):
+def check_pseudo_resolvent(caches, f, lam, mu, m):
     """R(lam,f) - R(mu,f) = i(mu-lam) R(lam,f) R(mu,f), exact in matrix algebra."""
     if complex(lam) == complex(mu):
         raise ValueError("pseudo-resolvent check needs two distinct parameters")
@@ -240,10 +233,10 @@ def check_pseudo_resolvent(reps, f, lam, mu, m):
     def residual(cache, idx, sel):
         return _pseudo_block(cache.solver(lam, f), cache.solver(mu, f), sel)[idx]
 
-    return _check("pseudo", reps, _params(f, lam=lam, mu=mu), m, EXACT_TOL, True, residual)
+    return _check("pseudo", caches, _params(f, lam=lam, mu=mu), m, EXACT_TOL, True, residual)
 
 
-def check_adjoint_symmetry(reps, f, lam, m):
+def check_adjoint_symmetry(caches, f, lam, m):
     """R(lam,f)* = R(-conj(lam),f), exact in matrix algebra."""
 
     def residual(cache, idx, sel):
@@ -251,10 +244,10 @@ def check_adjoint_symmetry(reps, f, lam, m):
         right = cache.solver(-complex(lam).conjugate(), f).apply(sel)[idx]
         return left - right
 
-    return _check("adjoint", reps, _params(f, lam=lam), m, EXACT_TOL, True, residual)
+    return _check("adjoint", caches, _params(f, lam=lam), m, EXACT_TOL, True, residual)
 
 
-def check_zero_vector(reps, lam, m):
+def check_zero_vector(caches, lam, m):
     """R(lam,0) = (1/(i lam))*1, exact in matrix algebra."""
 
     def residual(cache, idx, sel):
@@ -263,13 +256,12 @@ def check_zero_vector(reps, lam, m):
         block -= (1.0 / (1j * complex(lam))) * np.eye(len(idx))
         return block
 
-    return _check("zero_vector", reps, _params(lam=lam), m, EXACT_TOL, True, residual)
+    return _check("zero_vector", caches, _params(lam=lam), m, EXACT_TOL, True, residual)
 
 
-def check_relation_i(reps, f, g, lam, mu, m, tol=1e-6, space=None):
+def check_relation_i(caches, f, g, lam, mu, m, tol=1e-6, space=None):
     """[R(lam,f), R(mu,g)] = i sigma(f,g) R(lam,f) R(mu,g)^2 R(lam,f)."""
-    caches = _as_caches(reps)
-    sig = _sigma(space, caches, f, g)
+    sig = symplectic.pair(_space(space, caches), f, g)
 
     def residual(cache, idx, sel):
         a = cache.solver(lam, f)
@@ -283,7 +275,7 @@ def check_relation_i(reps, f, g, lam, mu, m, tol=1e-6, space=None):
     return _check("rel_i", caches, params, m, tol, False, residual)
 
 
-def check_relation_ii(reps, f, g, lam, mu, m, tol=1e-6, space=None):
+def check_relation_ii(caches, f, g, lam, mu, m, tol=1e-6, space=None):
     """R(lam+mu,f+g)(R(lam,f)+R(mu,g)+i sigma(f,g) R(lam,f)^2 R(mu,g))
     = R(lam,f) R(mu,g); needs lam, mu, lam+mu away from the imaginary axis."""
     lam, mu = complex(lam), complex(mu)
@@ -291,8 +283,7 @@ def check_relation_ii(reps, f, g, lam, mu, m, tol=1e-6, space=None):
         raise DomainError(
             "additivity check requires Re(lam), Re(mu), Re(lam+mu) all nonzero"
         )
-    caches = _as_caches(reps)
-    sig = _sigma(space, caches, f, g)
+    sig = symplectic.pair(_space(space, caches), f, g)
     fg = tuple(float(x) + float(y) for x, y in zip(f, g))
 
     def residual(cache, idx, sel):
@@ -310,7 +301,7 @@ def check_relation_ii(reps, f, g, lam, mu, m, tol=1e-6, space=None):
     return _check("rel_ii", caches, params, m, tol, False, residual)
 
 
-def check_relation_iii(reps, f, lam, c):
+def check_relation_iii(caches, f, lam, c):
     """c R(c lam, c f) = R(lam, f), exact in matrix algebra; full-norm check.
 
     The residual is `_norm_bound` of the difference, applied to its block of
@@ -327,13 +318,12 @@ def check_relation_iii(reps, f, lam, c):
         plain = cache.solver(lam, f)
         return _norm_bound(lambda x: c * scaled.apply(x) - plain.apply(x), cache.rep.dim)
 
-    return _check("rel_iii", reps, _params(f, lam=lam, c=c), None, EXACT_TOL, True, residual)
+    return _check("rel_iii", caches, _params(f, lam=lam, c=c), None, EXACT_TOL, True, residual)
 
 
-def check_relation_iv(reps, f, g, mu, m, tol=1e-6, space=None):
+def check_relation_iv(caches, f, g, mu, m, tol=1e-6, space=None):
     """i[G_f, R(mu,g)] = sigma(f,g) R(mu,g)^2."""
-    caches = _as_caches(reps)
-    sig = _sigma(space, caches, f, g)
+    sig = symplectic.pair(_space(space, caches), f, g)
 
     def residual(cache, idx, sel):
         b = cache.solver(mu, g)
@@ -362,7 +352,7 @@ def _probe_monomial(cache: SolverCache, pattern: str):
     return lambda x: reduce(lambda y, g: g @ y, reversed(factors), x)
 
 
-def check_almost_inner(reps, f, lam, probe, m, tol=1e-6, space=None):
+def check_almost_inner(caches, f, lam, probe, m, tol=1e-6, space=None):
     """R(lam,f) d_f(A) R(lam,f) = i[A, R(lam,f)] for a probe operator A.
 
     String probes name monomials in the canonical pair ("Q1", "Q1*P1", "I");
@@ -372,7 +362,6 @@ def check_almost_inner(reps, f, lam, probe, m, tol=1e-6, space=None):
     they fall under the convergence protocol; they and their derivation are
     applied to the box columns by solves (`fock.apply_expr`), never formed.
     """
-    caches = _as_caches(reps)
     if isinstance(probe, Expr):
         probe_id, probe_expr = str(probe), probe
     elif isinstance(probe, str) and _PROBE_MONOMIAL.match(probe):
@@ -383,8 +372,7 @@ def check_almost_inner(reps, f, lam, probe, m, tol=1e-6, space=None):
         raise TypeError("probe must be a monomial name or an expression")
     exact = probe_expr is None
     if not exact:
-        sp = space if space is not None else caches[0].rep.space
-        deriv_expr = derivation(sp, f, probe_expr)
+        deriv_expr = derivation(_space(space, caches), f, probe_expr)
 
     def residual(cache, idx, sel):
         a = cache.solver(lam, f)
@@ -426,19 +414,36 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """A real number as a float; a bool or a string is not one, and an
+    integer beyond the float range is not finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{value} is not finite") from exc
+
+
 def _real(value) -> float:
     """A finite real number; inf and nan are not."""
-    if not math.isfinite(x := float(value)):
+    if not math.isfinite(x := _number(value)):
         raise ValueError(f"{value!r} is not finite")
     return x
 
 
 def _spectral(value) -> complex:
-    """A finite number, or [re, im]."""
+    """A finite real or complex number, or [re, im]."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_real(value[0]), _real(value[1]))
-    z = complex(value)
+    z = value if isinstance(value, complex) else complex(_real(value))
     return complex(_real(z.real), _real(z.imag))
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
 
 
 def _list(read):
@@ -456,21 +461,30 @@ def _optional(read):
     return lambda value: None if value is None else read(value)
 
 
+def _space_config(value) -> dict:
+    """A space description: its `n` an integer (not a numeric string) and
+    its `form` rows of finite reals; `space_from_config` checks the rest."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{value!r} is not an object")
+    read = {"n": lambda n: _integer(_number(n)), "form": _list(_list(_real))}
+    return {key: read.get(key, lambda x: x)(x) for key, x in value.items()}
+
+
 # How each Config field is read.  Config(...), Config.from_dict and
 # dataclasses.replace all pass every field through its reader, then the
-# cross-field checks run.  `space` is read by `symplectic.space_from_config`.
+# cross-field checks run.  `symplectic.space_from_config` builds `space`.
 _READERS = {
     "modes": _integer,
     "truncations": _list(_integer),
     "compression": _integer,
     "tolerance": _real,
     "seed": _integer,
-    "space": lambda value: value,
+    "space": _optional(_space_config),
     "lambdas": _list(_spectral),
     "scales": _list(_real),
     "vectors": _optional(_list(_list(_real))),
-    "probes": _list(str),
-    "families": _optional(_list(str)),
+    "probes": _list(_string),
+    "families": _optional(_list(_string)),
     "max_dim": _integer,
 }
 
@@ -549,7 +563,7 @@ class Config:
             unknown = [x for x in fams if x not in FAMILY_ORDER]
             if unknown:
                 raise ConfigError(f"unknown relation families: {unknown}")
-            empty = [rel for rel, _, _, grid in _suite_table(self) if rel in fams and not grid]
+            empty = [row[0] for row in _suite_table(self) if row[0] in fams and not row[-1]]
             if empty:
                 raise ConfigError(f"families {empty} have no grid points to check")
         if self.space is not None:
@@ -569,12 +583,10 @@ class Config:
         return symplectic.space_from_config(self.space)
 
     def enabled_families(self) -> tuple:
+        """The named families, or else every family with grid points."""
         if self.families is not None:
             return self.families
-        fams = [x for x in FAMILY_ORDER if x != "almost_inner"]
-        if self.probes:
-            fams.append("almost_inner")
-        return tuple(fams)
+        return tuple(row[0] for row in _suite_table(self) if row[-1])
 
     def to_dict(self) -> dict:
         out = {info.name: _json_value(getattr(self, info.name)) for info in fields(self)}
@@ -657,39 +669,41 @@ def _distinct_pairs(values):
 
 
 def _suite_table(config: Config) -> tuple:
-    """The relation table: one (relation, check name, tolerance, grid) entry
-    per family in report order.  A grid point holds the check's parameters
-    as keyword arguments."""
+    """The relation table: one (relation, check, tolerance, keywords, grid)
+    row per family in report order.  `keywords` names the suite-wide
+    arguments (`m`, `tol`, `space`) the check takes; a grid point holds the
+    rest.  Each build reads the checks from the module, so wrappers apply."""
     lambdas, vectors, tol = config.lambdas, config.vectors, config.tolerance
     lam0 = lambdas[0]
     lam_pairs = [(lam0, lam0), (lam0, lambdas[-1])]
     vec_pairs = _distinct_pairs(vectors)
+    box, converging = ("m",), ("m", "tol", "space")
     return (
-        ("pseudo", "check_pseudo_resolvent", EXACT_TOL, [
+        ("pseudo", check_pseudo_resolvent, EXACT_TOL, box, [
             dict(f=f, lam=lam, mu=mu)
             for lam, mu in _distinct_pairs(lambdas) for f in vectors
         ]),
-        ("adjoint", "check_adjoint_symmetry", EXACT_TOL, [
+        ("adjoint", check_adjoint_symmetry, EXACT_TOL, box, [
             dict(f=f, lam=lam) for lam in lambdas for f in vectors
         ]),
-        ("zero_vector", "check_zero_vector", EXACT_TOL, [
+        ("zero_vector", check_zero_vector, EXACT_TOL, box, [
             dict(lam=lam) for lam in lambdas
         ]),
-        ("rel_i", "check_relation_i", tol, [
+        ("rel_i", check_relation_i, tol, converging, [
             dict(f=f, g=g, lam=lam, mu=mu) for lam, mu in lam_pairs for f, g in vec_pairs
         ]),
-        ("rel_ii", "check_relation_ii", tol, [
+        ("rel_ii", check_relation_ii, tol, converging, [
             dict(f=f, g=g, lam=lam, mu=mu)
             for lam, mu in lam_pairs if (complex(lam) + complex(mu)).real != 0.0
             for f, g in vec_pairs
         ]),
-        ("rel_iii", "check_relation_iii", EXACT_TOL, [
+        ("rel_iii", check_relation_iii, EXACT_TOL, (), [
             dict(f=f, lam=lam0, c=c) for c in config.scales for f in vectors
         ]),
-        ("rel_iv", "check_relation_iv", tol, [
+        ("rel_iv", check_relation_iv, tol, converging, [
             dict(f=f, g=g, mu=lam0) for f in vectors for g in vectors if f != g
         ]),
-        ("almost_inner", "check_almost_inner", tol, [
+        ("almost_inner", check_almost_inner, tol, converging, [
             dict(f=f, lam=lam0, probe=probe) for probe in config.probes for f in vectors
         ]),
     )
@@ -700,41 +714,37 @@ def run_suite(config: Config) -> SuiteResult:
 
     A check that raises is recorded as failed (with the error message in its
     params) and the suite continues; a failed sigma cross-validation is
-    recorded in the result.  Checks are looked up on the module by name at
-    call time, so wrappers set there apply.  Deterministic for a fixed config.
+    recorded in the result.  Deterministic for a fixed config.
     """
     space = config.space_object()
     caches = [
         SolverCache(fock.build_rep(config.modes, n, config.max_dim))
         for n in config.truncations
     ]
-    m = config.compression
+    shared = {"m": config.compression, "tol": config.tolerance, "space": space}
     enabled = config.enabled_families()
     checks = []
-    for relation, name, tol, grid in _suite_table(config):
+    for relation, check_fn, tol, keywords, grid in _suite_table(config):
         if relation not in enabled:
             continue
-        # rel_iii is a full-norm check; exact checks keep their own tolerance
-        kwargs = {} if relation == "rel_iii" else {"m": m}
-        if relation not in EXACT_FAMILIES:
-            kwargs.update(tol=tol, space=space)
+        kwargs = {k: shared[k] for k in keywords}
         for point in grid:
             try:
-                check = globals()[name](caches, **point, **kwargs)
+                check = check_fn(caches, **point, **kwargs)
             except Exception as exc:  # noqa: BLE001 - a failed check must not kill the suite
                 error = f"{type(exc).__name__}: {exc}"
                 check = RelationCheck(
                     relation=relation,
                     params=dict(_params(**point), error=error),
                     truncations=config.truncations,
-                    compression=m,
+                    compression=kwargs.get("m", 0),
                     residuals=(math.inf,) * len(config.truncations),
                     tolerance=tol,
                     verdict=False,
                 )
             checks.append(replace(check, seed=config.seed))
     sigma_cross_max, sigma_cross_error = _sigma_cross_validation(
-        caches[-1], space, config.vectors, m, config.seed
+        caches[-1], space, config.vectors, config.compression, config.seed
     )
     return SuiteResult(config, tuple(checks), sigma_cross_max, sigma_cross_error)
 

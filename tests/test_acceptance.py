@@ -224,7 +224,7 @@ def test_degenerate_form_certifies_commuting_pair():
     rep = fock.build_rep(2, 64, max_dim=4096)
     f, g = (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)
     check = verify.check_relation_i(
-        [rep], f, g, 1.0, 1.0, 6, tol=1e-6, space=space
+        [verify.SolverCache(rep)], f, g, 1.0, 1.0, 6, tol=1e-6, space=space
     )
     elapsed = time.monotonic() - start
     assert check.params["sigma"] == 0.0

@@ -159,7 +159,19 @@ def test_verify_nonstandard_space_exits_2(capsys, tmp_path):
      ("--tol", "inf", "bad tolerance"),
      ("probes", ["R(1,[1,0]"], "bad probes: 'R(1,[1,0]': expected ')'"),
      ("probes", ["Q1", "R(1,[1,0,0,0])"], "bad probes: 'R(1,[1,0,0,0])': letter has dimension 4"),
-     ("seed", -1, "bad seed: -1 is negative"), ("--seed", "-1", "bad seed: -1 is negative")],
+     ("seed", -1, "bad seed: -1 is negative"), ("--seed", "-1", "bad seed: -1 is negative"),
+     ("tolerance", True, "bad tolerance: True is not a number"),
+     ("tolerance", "1e-3", "bad tolerance: '1e-3' is not a number"),
+     ("lambdas", [True], "bad lambdas: True is not a number"),
+     ("lambdas", [[1, True]], "bad lambdas: True is not a number"),
+     ("scales", [True], "bad scales: True is not a number"),
+     ("vectors", [[True, False], [0, 1]], "bad vectors: True is not a number"),
+     ("probes", [1], "bad probes: 1 is not a string"),
+     ("space", {"n": 1.7}, "bad space: 1.7 is not an integer"),
+     ("space", {"n": True}, "bad space: True is not a number"),
+     ("space", {"n": "1"}, "bad space: '1' is not a number"),
+     ("space", {"form": [[0, True], [-1, 0]]}, "bad space: True is not a number"),
+     ("space", {"form": [[0, "1"], [-1, 0]]}, "bad space: '1' is not a number")],
 )
 def test_verify_rejected_config_value_exits_2(capsys, tmp_path, key, value, message):
     # a key that starts with "--" is given as a command-line flag

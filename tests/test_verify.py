@@ -141,7 +141,7 @@ def test_relation_iii_planted_defect_matches_dense_norm(modes, levels):
     rep = fock.build_rep(modes, levels)
     lam, c, f = 1.0, 2.5, (1.0,) * (2 * modes)
     cache = _PlantedCache(rep, lam, 1.0 + 1e-6)
-    check = verify.check_relation_iii(cache, f, lam, c)
+    check = verify.check_relation_iii([cache], f, lam, c)
     scaled = cache.solver(c * lam, tuple(c * x for x in f)).matrix()
     dense = np.linalg.norm(c * scaled - cache.solver(lam, f).matrix(), 2)
     assert dense > 1e-7
@@ -217,13 +217,6 @@ def test_norm_bound_fails_no_more_often_than_the_lemma_allows(monkeypatch):
     exact = (1.0 - math.exp(-(alpha**-2))) ** r
     assert rate <= alpha ** (-2 * r)
     assert abs(rate - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
-
-
-def test_single_rep_accepted():
-    rep = fock.build_rep(1, 16)
-    check = verify.check_zero_vector(rep, 1.0, 4)
-    assert check.truncations == (16,)
-    assert check.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +595,78 @@ def test_suite_calls_checks_and_cache_through_module_attributes(monkeypatch):
     zero_checks = [c for c in result if c.relation == "zero_vector"]
     assert len(check_calls) == len(zero_checks) == len(cfg.lambdas)
     assert set(solver_levels) == set(cfg.truncations)
+
+
+def test_suite_table_rows_follow_family_order():
+    cfg = verify.Config(truncations=(8, 12), compression=4, probes=("Q1",))
+    table = verify._suite_table(cfg)
+    assert tuple(row[0] for row in table) == verify.FAMILY_ORDER
+    for relation, check, _, keywords, grid in table:
+        assert set(keywords) <= {"m", "tol", "space"}
+        assert set(keywords) <= set(inspect.signature(check).parameters), relation
+        assert grid, relation
+
+
+def test_suite_passes_each_check_its_row_arguments(monkeypatch):
+    # every check is called with the level caches, its grid point and
+    # exactly the suite-wide arguments its row names
+    cfg = verify.Config(truncations=(8, 12), compression=4, probes=("Q1",))
+    calls = {}
+    for relation, check, _, keywords, grid in verify._suite_table(cfg):
+
+        def recording(caches, *, _relation=relation, _check=check, **kwargs):
+            calls.setdefault(_relation, []).append((caches, kwargs))
+            return _check(caches, **kwargs)
+
+        monkeypatch.setattr(verify, check.__name__, recording)
+    table = verify._suite_table(cfg)
+    result = verify.run_suite(cfg)
+    shared = {"m": 4, "tol": cfg.tolerance}
+    assert [c.relation for c in result] == [
+        relation for relation, *_, grid in table for _ in grid
+    ]
+    for relation, _, _, keywords, grid in table:
+        assert len(calls[relation]) == len(grid)
+        for (caches, kwargs), point in zip(calls[relation], grid):
+            assert [c.rep.levels for c in caches] == [8, 12]
+            assert set(kwargs) == set(point) | set(keywords)
+            assert {k: kwargs[k] for k in point} == point
+            for key in keywords:
+                if key == "space":
+                    assert kwargs[key].is_standard() and kwargs[key].dim == 2
+                else:
+                    assert kwargs[key] == shared[key]
+
+
+def test_null_families_skip_families_without_grid_points():
+    # one vector leaves no pair for rel_i, rel_ii and rel_iv
+    cfg = verify.Config(
+        truncations=(16, 24), compression=4, vectors=((1.0, 0.5),), probes=("Q1",)
+    )
+    assert cfg.enabled_families() == (
+        "pseudo", "adjoint", "zero_vector", "rel_iii", "almost_inner"
+    )
+    report = verify.run_suite(cfg).to_report()
+    assert report["families"] == list(cfg.enabled_families())
+    assert [c["relation"] for c in report["checks"]] == (
+        ["pseudo"] * 3 + ["adjoint"] * 3 + ["zero_vector"] * 3 + ["rel_iii"] * 3
+        + ["almost_inner"]
+    )
+    assert report["all_pass"]
+
+
+def test_suite_error_entries_report_the_compression_of_their_check():
+    # at lambda = 1e308 the scaled resolvent at c = 2.5 overflows and its
+    # solver raises; rel_iii is a full-norm check, so its passing and its
+    # erroring entries both report compression 0
+    cfg = verify.Config(
+        lambdas=(1e308, 1.0), truncations=(8, 12), compression=4, families=("rel_iii",)
+    )
+    result = verify.run_suite(cfg)
+    errors = [c for c in result if "error" in c.params]
+    assert [c.params["c"] for c in errors] == [2.5] * 3
+    assert len(errors) < len(result)
+    assert {c.compression for c in result} == {0}
 
 
 def test_suite_expression_probe_forms_no_dense_evaluation(monkeypatch):
