@@ -9,13 +9,15 @@ parent with that one child.  Runs of the given trees alternate, so that a
 drift of the machine touches both alike, and the median of each command's
 runs is reported.
 
-The commands are `verify` on the `quick`, `default`, `two_mode` and
-`two_mode_ladder` configs, `cohomology` with one mode at the defaults and
-with two modes (N=8, box 2) on the zero gauge and on
-`random_gauge(4, 2, seed=1)`, whose report is about four times larger, with
-two modes on `random_gauge(4, 3, seed=1)` (box 3, 2401 lattice points), with
-two modes at N=48 and N=64 on `random_gauge(4, 1, seed=1)` (box 1, where the
-representation's dimension dominates), and one `eval`.  Reports go to a
+The commands are `verify` on the `quick`, `default`, `two_mode`,
+`two_mode_ladder` and `three_mode` configs (`three_mode` exits 1: its top
+level, N=16, is too short for `rel_i` and `rel_iv` to converge), `cohomology`
+with one mode at the defaults and with two modes (N=8, box 2) on the zero
+gauge and on `random_gauge(4, 2, seed=1)`, whose report is about four times
+larger, with two modes on `random_gauge(4, 3, seed=1)` (box 3, 2401
+lattice points), with two modes at N=48 and N=64 on
+`random_gauge(4, 1, seed=1)` (box 1, where the representation's dimension
+dominates), and one `eval`.  Reports go to a
 scratch file, not to the terminal.  BLAS runs at its default threading
 unless OPENBLAS_NUM_THREADS is set beforehand; the environment (CPUs, BLAS
 libraries and their thread counts) is recorded with the timings, since the
@@ -49,6 +51,7 @@ COMMANDS = {
     "verify_default": ["verify", "--config", "configs/default.json"],
     "verify_two_mode": ["verify", "--config", "configs/two_mode.json"],
     "verify_two_mode_ladder": ["verify", "--config", "configs/two_mode_ladder.json"],
+    "verify_three_mode": ["verify", "--config", "configs/three_mode.json"],
     "cohomology_1m": ["cohomology"],
     "cohomology_2m_box2": ["cohomology", "--config", "configs/two_mode.json", "--trunc", "8",
                            "--gauge", "{gauge}"],

@@ -48,7 +48,12 @@ def _load_config(args) -> verify.Config:
         config = verify.Config()
     overrides = {}
     if getattr(args, "trunc", None):
-        overrides["truncations"] = args.trunc.split(",")
+        try:  # the config's reader takes numbers, not strings
+            overrides["truncations"] = [int(x) for x in args.trunc.split(",")]
+        except ValueError as exc:
+            raise verify.ConfigError(
+                f"bad truncations: {args.trunc!r} is not a list of integers"
+            ) from exc
     for option, key in (("compress", "compression"), ("tol", "tolerance"), ("seed", "seed")):
         if getattr(args, option, None) is not None:
             overrides[key] = getattr(args, option)
@@ -153,10 +158,9 @@ def cmd_schur(args) -> int:
         )
     try:
         if pair:
-            f, g = pair
-            report, target, gap, ok = verify.pairing_probe(
-                solvers, rep.space, f, g, config.compression, config.seed
-            )
+            report, target, gap, ok = next(verify.pairing_probes(
+                solvers, rep.space, [pair], config.compression, config.seed
+            ))
             payload.update(mode="commutator", pairing=target, pairing_gap=gap)
         else:
             expr = parse(args.expression)

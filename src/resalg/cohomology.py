@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -848,7 +848,9 @@ def run_pipeline(
     # by solves: (iz + G_f + s(f))^-1 is the plain resolvent at z - i s(f)
     f = _basis(gauge.dim, 0)
     r1, r2 = (fock.ResolventSolver(rep, z - 1j * improved.shift(f), f) for z in (1.0, 2.0))
-    defect = verify._norm_bound(partial(verify._pseudo_block, r1, r2), rep.dim)
+    defect = verify._norm_bound(
+        lambda x: verify._pseudo_block(r1, r2, r1.apply(x), r2.apply(x)), rep.dim
+    )
     stages["improved_resolvents"] = {"ok": defect <= IMPROVE_TOL, "defect": defect}
 
     report["all_pass"] = all(stage["ok"] for stage in stages.values())

@@ -171,7 +171,13 @@ def test_verify_nonstandard_space_exits_2(capsys, tmp_path):
      ("space", {"n": True}, "bad space: True is not a number"),
      ("space", {"n": "1"}, "bad space: '1' is not a number"),
      ("space", {"form": [[0, True], [-1, 0]]}, "bad space: True is not a number"),
-     ("space", {"form": [[0, "1"], [-1, 0]]}, "bad space: '1' is not a number")],
+     ("space", {"form": [[0, "1"], [-1, 0]]}, "bad space: '1' is not a number"),
+     ("modes", "1", "bad modes: '1' is not a number"),
+     ("truncations", ["8", "12"], "bad truncations: '8' is not a number"),
+     ("compression", "4", "bad compression: '4' is not a number"),
+     ("seed", "3", "bad seed: '3' is not a number"),
+     ("max_dim", "4096", "bad max_dim: '4096' is not a number"),
+     ("--trunc", "8,x", "bad truncations: '8,x' is not a list of integers")],
 )
 def test_verify_rejected_config_value_exits_2(capsys, tmp_path, key, value, message):
     # a key that starts with "--" is given as a command-line flag

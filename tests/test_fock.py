@@ -131,6 +131,21 @@ def test_pattern_product_is_bitwise_scipys_csc_product(modes, levels):
             assert np.array_equal(got, ref @ x)
 
 
+@pytest.mark.parametrize("columns", [None, 3, 9, 19])
+@pytest.mark.parametrize("modes, levels", [(1, 64), (2, 16), (3, 8)])
+def test_pattern_product_is_bitwise_the_indexed_einsum(modes, levels, columns):
+    # the gather by `take` gives the very array that indexing with cols gives
+    rep = fock.build_rep(modes, levels)
+    rng = np.random.default_rng(levels + (columns or 0))
+    ours = fock.generator(rep, rng.standard_normal(2 * modes))
+    shape = (rep.dim,) if columns is None else (rep.dim, columns)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = ours @ x
+    want = np.einsum("tn,tn...->n...", ours.data, x[rep.cols])
+    assert got.shape == want.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_generator_commutator_matches_form_below_top():
     # -i[G_f, G_g] acts as sigma(f,g) on states below the top level
     rep = fock.build_rep(1, 12)
@@ -232,6 +247,20 @@ def test_broken_factorization_raises_at_construction(monkeypatch):
     rep = fock.build_rep(1, 8)
     with pytest.raises(RuntimeError, match="probe residual .* condition estimate"):
         fock.ResolventSolver(rep, 1.0, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("modes, levels", [(1, 8), (2, 6)])
+def test_solver_stores_no_operator(monkeypatch, modes, levels):
+    rep = fock.build_rep(modes, levels)
+    solver = fock.ResolventSolver(rep, 1.0 - 0.5j, np.arange(1.0, 2 * modes + 1))
+    assert not any(isinstance(v, fock.PatternMatrix) for v in vars(solver).values())
+    # matrix() rebuilds iz + G_f for its own guard
+    plain, built = fock.generator, []
+    monkeypatch.setattr(fock, "generator", lambda *a: built.append(a) or plain(*a))
+    full = solver.matrix()
+    assert len(built) == 1
+    dense = plain(rep, solver.f).toarray() + 1j * solver.z * np.eye(rep.dim)
+    assert np.allclose(full @ dense, np.eye(rep.dim), atol=1e-12)
 
 
 # binds the package's LAPACK routines, then imports scipy.linalg and prints

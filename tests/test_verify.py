@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import pkgutil
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -474,9 +475,9 @@ def test_config_fields_read_alike_on_every_path():
     loaded = verify.Config.from_dict(
         {"truncations": [8, 12], "compression": 4, "seed": 3.0, "lambdas": [[1, 2], 1.0]}
     )
-    # as the command line passes --trunc
+    # as the command line passes --trunc: split and converted to int by cli
     replaced = replace(
-        verify.Config(), truncations="8,12".split(","), compression=4, seed=3,
+        verify.Config(), truncations=[int(x) for x in "8,12".split(",")], compression=4, seed=3,
         lambdas=(1 + 2j, 1.0),
     )
     assert direct == loaded == replaced
@@ -705,3 +706,105 @@ def test_suite_deterministic_report():
     a = json.dumps(verify.run_suite(cfg).to_report(), sort_keys=True)
     b = json.dumps(verify.run_suite(cfg).to_report(), sort_keys=True)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# work done once
+
+
+@pytest.mark.parametrize("modes, truncations, m", [(1, (16, 24), 4), (2, (8, 12), 3)])
+def test_each_solver_solves_the_box_columns_once(monkeypatch, modes, truncations, m):
+    # every residual reads R(z, f) sel from its level's memo
+    caches, solves = [], Counter()
+
+    class Recording(verify.SolverCache):
+        def __init__(self, rep):
+            super().__init__(rep)
+            caches.append(self)
+
+    solve = fock.ResolventSolver._solve
+
+    def counting(self, block):
+        if any(block is sel for c in caches for _, sel in c._boxes.values()):
+            solves[id(self)] += 1
+        return solve(self, block)
+
+    monkeypatch.setattr(verify, "SolverCache", Recording)
+    monkeypatch.setattr(fock.ResolventSolver, "_solve", counting)
+    cfg = verify.Config(modes=modes, truncations=truncations, compression=m,
+                        tolerance=1e-2, probes=("Q1", "Q1*P1"))
+    result = verify.run_suite(cfg)
+    assert all("error" not in c.params for c in result)
+    memoized = {id(c.solver(z, f)) for c in caches for z, f, _ in c._box_solves}
+    assert solves and set(solves) == memoized
+    assert set(solves.values()) == {1}
+    block = caches[0].box_solve(cfg.lambdas[0], cfg.vectors[0], m)
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+
+
+def test_box_memo_keeps_its_byte_budget_and_the_report(monkeypatch):
+    caches = []
+
+    class Recording(verify.SolverCache):
+        def __init__(self, rep):
+            super().__init__(rep)
+            caches.append(self)
+
+    monkeypatch.setattr(verify, "SolverCache", Recording)
+    cfg = verify.Config(modes=2, truncations=(8, 12), compression=3, tolerance=1e-2)
+    kept = json.dumps(verify.run_suite(cfg).to_report())
+    top = caches[-1]
+    sizes = {b.nbytes for b in top._box_solves.values()}
+    assert len(sizes) == 1 and len(top._box_solves) > 4
+    # a budget of four top-level blocks: the first ones are kept, the rest
+    # solved anew
+    budget = 4 * sizes.pop()
+    monkeypatch.setattr(verify, "BOX_MEMO_BYTES", budget)
+    caches.clear()
+    assert json.dumps(verify.run_suite(cfg).to_report()) == kept
+    assert all(c._box_bytes <= budget for c in caches)
+    assert len(caches[-1]._box_solves) == 4 and caches[-1]._box_bytes == budget
+    first = next(iter(caches[-1]._box_solves))
+    assert caches[-1].box_solve(*first) is caches[-1]._box_solves[first]
+    z, f, m = (3.0, (1.0, 0.0, 0.0, 0.0), 3)
+    assert caches[-1].box_solve(z, f, m) is not caches[-1].box_solve(z, f, m)
+
+
+def _pairing_reference(rep, f, g, m, seed):
+    """(report, sigma, gap) of K = -i[G_f, G_g] Schur-probed on its own probe
+    block, with K applied as the two generators in turn."""
+    gf, gg = fock.generator(rep, f), fock.generator(rep, g)
+    report = fock.schur_constant(rep, lambda x: -1j * (gf @ (gg @ x) - gg @ (gf @ x)),
+                                 cutoff=m, seed=seed)
+    target = symplectic.pair(rep.space, f, g)
+    return report, target, abs(report.mean - target)
+
+
+def test_sigma_cross_validation_matches_pairing_probe_per_pair(monkeypatch):
+    rep = fock.build_rep(2, 8)
+    vectors = verify._default_vectors(2)
+    pairs = verify._distinct_pairs(vectors)
+    for f, g in pairs:  # the suite shares G_v P; `schur --pair` takes one pair
+        want = _pairing_reference(rep, f, g, 3, 5)
+        alone = next(verify.pairing_probes(verify.SolverCache(rep), rep.space, [(f, g)], 3, 5))
+        assert alone[:3] == want
+    shared = verify.pairing_probes(verify.SolverCache(rep), rep.space, pairs, 3, 5)
+    assert [probed[:3] for probed in shared] == [
+        _pairing_reference(rep, f, g, 3, 5) for f, g in pairs]
+    worst, error = verify._sigma_cross_validation(verify.SolverCache(rep), rep.space,
+                                                  vectors, 3, 5)
+    assert error is None
+    assert worst == max(_pairing_reference(rep, f, g, 3, 5)[2] for f, g in pairs)
+
+    pair, planted = symplectic.pair, pairs[4]
+    monkeypatch.setattr(
+        symplectic, "pair",
+        lambda space, f, g: pair(space, f, g) + (1e-3 if (f, g) == planted else 0.0),
+    )
+    worst, error = verify._sigma_cross_validation(verify.SolverCache(rep), rep.space,
+                                                  vectors, 3, 5)
+    report, target, gap = _pairing_reference(rep, *planted, 3, 5)
+    assert math.isinf(worst)
+    assert error == (f"commutator scalar {report.mean} disagrees with the pairing "
+                     f"{target} for f={planted[0]}, g={planted[1]} (gap {gap:.3e})")
