@@ -10,8 +10,9 @@ drift of the machine touches both alike, and the median of each command's
 runs is reported.
 
 The commands are `verify` on the `quick`, `default`, `two_mode`,
-`two_mode_ladder` and `three_mode` configs (`three_mode` exits 1: its top
-level, N=16, is too short for `rel_i` and `rel_iv` to converge), `cohomology`
+`two_mode_ladder`, `three_mode` and `three_mode_long` configs (`three_mode`
+exits 1: its top level, N=16, is too short for `rel_i` and `rel_iv` to
+converge; `three_mode_long` climbs to N=24, where every check passes), `cohomology`
 with one mode at the defaults and with two modes (N=8, box 2) on the zero
 gauge and on `random_gauge(4, 2, seed=1)`, whose report is about four times
 larger, with two modes on `random_gauge(4, 3, seed=1)` (box 3, 2401
@@ -52,6 +53,7 @@ COMMANDS = {
     "verify_two_mode": ["verify", "--config", "configs/two_mode.json"],
     "verify_two_mode_ladder": ["verify", "--config", "configs/two_mode_ladder.json"],
     "verify_three_mode": ["verify", "--config", "configs/three_mode.json"],
+    "verify_three_mode_long": ["verify", "--config", "configs/three_mode_long.json"],
     "cohomology_1m": ["cohomology"],
     "cohomology_2m_box2": ["cohomology", "--config", "configs/two_mode.json", "--trunc", "8",
                            "--gauge", "{gauge}"],

@@ -39,13 +39,14 @@ def _emit(args, payload: dict) -> None:
 
 
 def _load_config(args) -> verify.Config:
+    """The config file's config, or the defaults, with the command-line
+    overrides; without a file the config is built and validated once."""
+    config = None
     if getattr(args, "config", None):
         path = pathlib.Path(args.config)
         if not path.exists():
             raise verify.ConfigError(f"config file not found: {path}")
         config = verify.Config.from_json(path.read_text())
-    else:
-        config = verify.Config()
     overrides = {}
     if getattr(args, "trunc", None):
         try:  # the config's reader takes numbers, not strings
@@ -57,6 +58,8 @@ def _load_config(args) -> verify.Config:
     for option, key in (("compress", "compression"), ("tol", "tolerance"), ("seed", "seed")):
         if getattr(args, option, None) is not None:
             overrides[key] = getattr(args, option)
+    if config is None:
+        return verify.Config(**overrides)
     return replace(config, **overrides) if overrides else config
 
 

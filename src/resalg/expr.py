@@ -29,6 +29,12 @@ CANCEL_EPS = 1e-14
 CANCEL_FLOOR = 16 * math.ulp(0.0)
 # |norm(f) - 1| below this counts as unit length, so R3 does not refire
 UNIT_EPS = 1e-14
+# a power e^n is expanded only when its size bound stays at most this many
+# terms x letters: at most T^n terms of at most nL letters each, for T terms
+# and a longest word of L letters in e, counting a scalar as one letter and
+# the zero expression as one term.  Every expression within the limit prints
+# as powers within it, so parse(to_string(e)) == e still holds for it.
+POWER_LIMIT = 1024
 
 
 class ParseError(ValueError):
@@ -138,6 +144,9 @@ class Expr:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        letters = n * max([1, *(len(w) for _, w in self.terms)])
+        if letters > POWER_LIMIT or max(1, len(self.terms)) ** n * letters > POWER_LIMIT:
+            raise ValueError(f"power expands past {POWER_LIMIT} terms x letters")
         out = identity()
         for _ in range(n):
             out = out * self
@@ -280,6 +289,7 @@ def derivation(space, f, e: Expr) -> Expr:
 #   vector  := '[' real (',' real)* ']'
 #   complex := real | real 'i' | real ('+'|'-') real 'i'
 #
+# A power beyond POWER_LIMIT is a ParseError at its exponent.
 # Whitespace-insensitive; reals carry an optional sign where a value starts.
 
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -387,7 +397,10 @@ class _Parser:
             if tok.kind != "num" or tok.imag or tok.value != int(tok.value):
                 raise ParseError("exponent must be a nonnegative integer", tok.pos)
             self.advance()
-            e = e ** int(tok.value)
+            try:
+                e = e ** int(tok.value)
+            except ValueError as exc:
+                raise ParseError(str(exc), tok.pos) from None
         return e
 
     def parse_primary(self) -> Expr:

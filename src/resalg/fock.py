@@ -33,7 +33,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -51,6 +51,10 @@ PROBE_RESIDUAL_TOL = 1e-10
 # in a multiple of 1, and the number of seeded random probes
 SCHUR_TOL = 1e-8
 RANDOM_PROBES = 10
+
+# bytes of rows a stencil product gathers at once; a wider block of columns
+# is multiplied in column chunks, with the same bits
+GATHER_BYTES = 2**23
 
 _MAGIC = b"RAMX"
 _DTYPE_TAG = b"c16\x00"
@@ -107,15 +111,38 @@ class PatternMatrix:
     the bits of scipy's CSC product; a per-slot multiply-add does not, as
     numpy's complex multiply may fuse it.  The rows x[cols] are gathered by
     one `take` on the flat stencil, which yields the same array as indexing
-    with `cols` in less time."""
+    with `cols` in less time.  The gather is 2n+1 times the size of x, so a
+    block of columns whose gather would pass GATHER_BYTES is multiplied in
+    chunks of columns; each entry is the same sum over its slots."""
 
     def __init__(self, rep: FockRep, data: np.ndarray):
         self.rep, self.data = rep, data
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x, cols = np.asarray(x), self.rep.cols
+        width = max(1, GATHER_BYTES // (cols.size * x.itemsize))
+        if x.ndim == 2 and x.shape[1] > width:
+            out = np.empty(x.shape, dtype=np.result_type(self.data, x))
+            for start in range(0, x.shape[1], width):
+                out[:, start:start + width] = self @ x[:, start:start + width]
+            return out
         rows = x.take(cols.ravel(), axis=0).reshape(cols.shape + x.shape[1:])
         return np.einsum("tn,tn...->n...", self.data, rows)
+
+    def columns(self, idx: np.ndarray) -> np.ndarray:
+        """`self @ sel` for the identity's columns `sel` at the indices idx,
+        read off the stencil: column j holds the diagonal value at row idx[j]
+        and, for each slot t whose column is present, data[2n - t, r] at row
+        r = cols[t, idx[j]], where column idx[j] sits in r's mirror slot.
+        The product computes each of these entries as one term times 1.0
+        plus exact zeros, so the bits are its bits."""
+        cols, diagonal = self.rep.cols, self.rep.diagonal
+        rows = cols[:, idx]
+        t, j = np.nonzero(rows != idx)
+        out = np.zeros((self.rep.dim, len(idx)), dtype=complex)
+        out[idx, np.arange(len(idx))] = self.data[diagonal, idx]
+        out[rows[t, j], j] = self.data[2 * diagonal - t, rows[t, j]]
+        return out
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.rep.dim,) * 2, dtype=complex)
@@ -178,12 +205,15 @@ def generator(rep: FockRep, f) -> PatternMatrix:
     return PatternMatrix(rep, generator_values(rep, f))
 
 
+@lru_cache(maxsize=16)
 def _probes(dim: int) -> np.ndarray:
-    # first and last basis state plus the flat unit vector
+    """The guard's probe columns, built once per dimension; read-only: the
+    first and last basis state plus the flat unit vector."""
     probes = np.zeros((dim, 3), dtype=complex)
     probes[0, 0] = 1.0
     probes[-1, 1] = 1.0
     probes[:, 2] = 1.0 / np.sqrt(dim)
+    probes.setflags(write=False)
     return probes
 
 
@@ -207,16 +237,18 @@ class ResolventSolver:
     Q = U diag(x) U^T (`FockRep.basis`) and G_f a Kronecker sum over modes,
     R = V diag(1/(iz + sum_k r_k x_{j_k})) V* with V = (x)_k e^{i theta_k N} U
     (the fast diagonalization method of Lynch, Rice & Thomas 1964).  The
-    solver keeps the phases e^{i theta_k N} and that diagonal; a solve
-    contracts U^T and U along one mode axis at a time and skips the modes
-    where f vanishes.  For n modes of N levels, set-up is O(N^n) on top of
+    solver keeps the phases e^{i theta_k N} and their conjugates as (N, 1)
+    columns, and that diagonal; a solve contracts U^T and U along one mode
+    axis at a time, skips the modes where f vanishes, and never writes to
+    the caller's block.  For n modes of N levels, set-up is O(N^n) on top of
     one N x N eigensystem per representation, and a solve costs 2nN
     multiply-adds per column entry.  A sparse LU of iz + G_f fills in from
     two modes on and is slower to set up and to apply
     (scripts/bench_resolvent.py).
 
-    Construction solves three probe columns and keeps their residual
-    against the sparse iz + G_f as `backward_error`; a solver that misses
+    Construction solves three probe columns (`_probes`, one read-only
+    block per dimension) and keeps their residual against the sparse
+    iz + G_f as `backward_error`; a solver that misses
     PROBE_RESIDUAL_TOL raises RuntimeError there, so both backends, LU
     factors and eigenbasis alike, are checked against the ladder operators.
     The solver stores no operator: iz + G_f serves that guard and is then
@@ -252,7 +284,8 @@ class ResolventSolver:
         levels = np.arange(rep.levels)
         self._u = u
         self._levels = rep.levels
-        # (k, e^{i theta_k N}) for every mode k that f touches
+        # (k, e^{i theta_k N}, e^{-i theta_k N}) as (N, 1) columns for every
+        # mode k that f touches
         self._phases = []
         denom = np.full((1,) * rep.modes, 1j * z)
         for k in range(rep.modes):
@@ -263,7 +296,8 @@ class ResolventSolver:
             # their phases exactly and only r changes sign
             sign = -1.0 if a < 0.0 or (a == 0.0 and b < 0.0) else 1.0
             a, b = sign * a, sign * b
-            self._phases.append((k, np.exp(1j * math.atan2(b, a) * levels)))
+            phase = np.exp(1j * math.atan2(b, a) * levels)[:, None]
+            self._phases.append((k, phase, phase.conj()))
             shape = [1] * rep.modes
             shape[k] = rep.levels
             denom = denom + sign * math.hypot(a, b) * x.reshape(shape)
@@ -277,12 +311,15 @@ class ResolventSolver:
             return y.reshape(np.shape(block))
         n = self._levels
         # V* y, then the diagonal, then V: mode k is axis 1 of the
-        # (n**k, n, rest) view, and U acts on the real and imaginary parts
-        for k, phase in self._phases:
-            y = _real_matmul(self._u.T, y.reshape(n ** k, n, -1) * phase.conj()[:, None])
+        # (n**k, n, rest) view, and U acts on the real and imaginary parts.
+        # Only V's phases scale in place, on the products' own arrays, so the
+        # caller's block is never written.
+        for k, _, conj in self._phases:
+            y = _real_matmul(self._u.T, y.reshape(n ** k, n, -1) * conj)
         y = y.reshape(self.dim, -1) * self._inverse
-        for k, phase in self._phases:
-            y = _real_matmul(self._u, y.reshape(n ** k, n, -1)) * phase[:, None]
+        for k, phase, _ in self._phases:
+            y = _real_matmul(self._u, y.reshape(n ** k, n, -1))
+            y *= phase
         return y.reshape(np.shape(block))
 
     def apply(self, block: np.ndarray) -> np.ndarray:

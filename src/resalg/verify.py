@@ -20,7 +20,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, fields, replace
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -98,7 +98,8 @@ def _verdict(residuals, tol: float, exact: bool) -> bool:
 
 class SolverCache:
     """Per-representation memo of factored resolvents, generators, box
-    selections and box solves."""
+    selections, box solves and rel_iii's solves of its Gaussian block.
+    Every block it hands out is read-only."""
 
     def __init__(self, rep: fock.FockRep):
         self.rep = rep
@@ -107,6 +108,7 @@ class SolverCache:
         self._boxes = {}
         self._box_solves = {}
         self._box_bytes = 0
+        self._gaussian_solves = {}
 
     def solver(self, z, f) -> fock.ResolventSolver:
         key = (complex(z), tuple(float(x) for x in f))
@@ -141,6 +143,18 @@ class SolverCache:
                 self._box_bytes += block.nbytes
         return block
 
+    def gaussian_solve(self, z, f) -> np.ndarray:
+        """R(z, f) applied to `_gaussian_block(dim)`; read-only and kept for
+        the whole suite, so rel_iii's scales share one solve per (z, f).
+        These blocks are NORM_BOUND_COLUMNS wide, one per direction, and
+        are kept apart from BOX_MEMO_BYTES."""
+        key = (complex(z), tuple(float(x) for x in f))
+        if key not in self._gaussian_solves:
+            block = self.solver(*key).apply(_gaussian_block(self.rep.dim))
+            block.setflags(write=False)
+            self._gaussian_solves[key] = block
+        return self._gaussian_solves[key]
+
     def generator(self, f) -> fock.PatternMatrix:
         """G_f on the representation's row stencil."""
         key = tuple(float(x) for x in f)
@@ -156,13 +170,24 @@ NORM_BOUND_FACTOR = 10.0
 NORM_BOUND_COLUMNS = 6
 
 
+@lru_cache(maxsize=16)
+def _gaussian_block(n: int) -> np.ndarray:
+    """Omega of `_norm_bound` for dimension n, drawn once per dimension;
+    read-only."""
+    rng = np.random.default_rng(0)
+    shape = (n, NORM_BOUND_COLUMNS)
+    omega = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    omega.setflags(write=False)
+    return omega
+
+
 def _norm_bound(matvec, n: int) -> float:
     """A randomized upper bound on the spectral norm of the n x n operator
     A: x -> matvec(x), from one block product (Dixon 1983; Halko, Martinsson
-    & Tropp 2011, section 4.3).
+    & Tropp 2011, section 4.3): `_image_bound` of A Omega.
 
-    Omega holds r = NORM_BOUND_COLUMNS complex Gaussian columns with
-    E|omega_j|^2 = 1, drawn from default_rng(0), and the bound is
+    Omega (`_gaussian_block`) holds r = NORM_BOUND_COLUMNS complex Gaussian
+    columns with E|omega_j|^2 = 1, drawn from default_rng(0), and the bound is
     alpha * max_i |A omega_i| with alpha = NORM_BOUND_FACTOR.  Why it holds:
     let v be a top right singular vector of A.  Then |A omega| >= sigma_1
     |v* omega|, and v* omega is a standard complex Gaussian, so |v* omega|^2
@@ -173,10 +198,11 @@ def _norm_bound(matvec, n: int) -> float:
     0.0.  The column norms are taken by einsum, which stays off threaded
     BLAS, so the result does not depend on the BLAS thread count.
     """
-    rng = np.random.default_rng(0)
-    shape = (n, NORM_BOUND_COLUMNS)
-    omega = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    image = matvec(omega)
+    return _image_bound(matvec(_gaussian_block(n)))
+
+
+def _image_bound(image: np.ndarray) -> float:
+    """The bound of `_norm_bound`, given the image A Omega."""
     squares = np.einsum("ij,ij->j", image.conj(), image).real
     return NORM_BOUND_FACTOR * math.sqrt(squares.max())
 
@@ -328,8 +354,9 @@ def check_relation_iii(caches, f, lam, c):
     """c R(c lam, c f) = R(lam, f), exact in matrix algebra; full-norm check.
 
     The residual is `_norm_bound` of the difference, applied to its block of
-    random columns with one solve per factorization, so neither resolvent is
-    formed.
+    random columns, so neither resolvent is formed.  R(lam, f) Omega comes
+    from the level's memo (`SolverCache.gaussian_solve`), which every scale
+    c shares, and R(c lam, c f) Omega is one solve.
     """
     c = complex(c)
     if c == 0 or c.imag != 0.0:
@@ -338,8 +365,8 @@ def check_relation_iii(caches, f, lam, c):
 
     def residual(cache, idx, sel):
         scaled = cache.solver(c * complex(lam), cf)
-        plain = cache.solver(lam, f)
-        return _norm_bound(lambda x: c * scaled.apply(x) - plain.apply(x), cache.rep.dim)
+        plain = cache.gaussian_solve(lam, f)
+        return _image_bound(c * scaled.apply(_gaussian_block(cache.rep.dim)) - plain)
 
     return _check("rel_iii", caches, _params(f, lam=lam, c=c), None, EXACT_TOL, True, residual)
 
@@ -352,7 +379,7 @@ def check_relation_iv(caches, f, g, mu, m, tol=1e-6, space=None):
         b = cache.solver(mu, g)
         gf = cache.generator(f)
         b_sel = cache.box_solve(mu, g, m)
-        block = 1j * (gf @ b_sel - b.apply(gf @ sel))
+        block = 1j * (gf @ b_sel - b.apply(gf.columns(idx)))
         block -= sig * b.apply(b_sel)
         return block[idx]
 

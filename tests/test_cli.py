@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resalg import cohomology, fock
+from resalg import cli, cohomology, fock, verify
 from resalg.cli import main
 from resalg.expr import parse
 
@@ -68,6 +68,14 @@ def test_simplify_overflowing_literal_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "overflows" in err
+
+
+def test_simplify_power_past_the_limit_exits_2(capsys):
+    # refused at the exponent, before any expansion
+    code, out, err = run_cli(capsys, "simplify", "R(1,[1,0])^1e12")
+    assert code == 2
+    assert out == ""
+    assert err == "error: power expands past 1024 terms x letters (position 11)\n"
 
 
 def test_simplify_rejects_config_flags(capsys):
@@ -177,7 +185,9 @@ def test_verify_nonstandard_space_exits_2(capsys, tmp_path):
      ("compression", "4", "bad compression: '4' is not a number"),
      ("seed", "3", "bad seed: '3' is not a number"),
      ("max_dim", "4096", "bad max_dim: '4096' is not a number"),
-     ("--trunc", "8,x", "bad truncations: '8,x' is not a list of integers")],
+     ("--trunc", "8,x", "bad truncations: '8,x' is not a list of integers"),
+     ("probes", ["R(1,[0,1])^1e12"],
+      "bad probes: 'R(1,[0,1])^1e12': power expands past 1024 terms x letters (position 11)")],
 )
 def test_verify_rejected_config_value_exits_2(capsys, tmp_path, key, value, message):
     # a key that starts with "--" is given as a command-line flag
@@ -192,6 +202,32 @@ def test_verify_rejected_config_value_exits_2(capsys, tmp_path, key, value, mess
     assert out == ""
     assert err.startswith("config error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--trunc", "8,4"), "truncation list must be strictly ascending, each >= 2"),
+    (("--trunc", "x"), "bad truncations: 'x' is not a list of integers"),
+    (("--compress", "0"), "compression cutoff must lie in [1, smallest truncation]"),
+    (("--compress", "99"), "compression cutoff must lie in [1, smallest truncation]"),
+])
+def test_flags_without_a_config_file_are_validated_once(capsys, monkeypatch, flags, message):
+    # the defaults and the flags make one Config, so one validation
+    checks = []
+    post_init = verify.Config.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(verify.Config, "__post_init__", counting)
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {message}\n"
+    assert len(checks) <= 1
+    checks.clear()
+    assert cli._load_config(cli.build_parser().parse_args(["verify", "--seed", "3"])).seed == 3
+    assert len(checks) == 1
 
 
 @pytest.mark.parametrize("command", [("cohomology",), ("schur", "--pair", "1,0;0,1")])

@@ -69,6 +69,27 @@ def test_parse_powers():
     assert parse("R(1,[1,0])^3") == resolvent(1, (1, 0)) ** 3
 
 
+def test_power_past_the_limit_is_a_parse_error_at_its_exponent():
+    # one letter: POWER_LIMIT letters expand, and print as a power that
+    # parses back; one more is refused before any expansion
+    limit = expr.POWER_LIMIT
+    e = parse(f"R(1,[1,0])^{limit}")
+    assert to_string(e) == f"R(1,[1,0])^{limit}" and parse(to_string(e)) == e
+    for text, position in ((f"R(1,[1,0])^{limit + 1}", 11), ("R(1,[1,0])^1e12", 11),
+                           ("2 + I^1e12", 6), ("(R(1,[1,0])+R(2,[0,1]))^16", 24),
+                           ("(R(1,[1,0])^32)^33", 16)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position, text
+        assert f"{limit} terms x letters" in str(err.value)
+    # two words of one letter: 2^k terms of k letters
+    assert len(parse("(R(1,[1,0])+R(2,[0,1]))^7").terms) == 2 ** 7
+    with pytest.raises(ParseError):
+        parse("(R(1,[1,0])+R(2,[0,1]))^8")
+    with pytest.raises(ValueError):
+        resolvent(1, (1, 0)) ** (limit + 1)
+
+
 def test_parse_adjoint_keyword():
     assert parse("adj(R(1,[1,0]))") == resolvent(-1, (1, 0))
     assert parse("adj(R(1+2i,[1,0]))") == resolvent(-1 + 2j, (1, 0))

@@ -146,6 +146,40 @@ def test_pattern_product_is_bitwise_the_indexed_einsum(modes, levels, columns):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("modes, levels", [(1, 64), (2, 16), (3, 8)])
+def test_box_columns_are_bitwise_the_stencil_product(modes, levels):
+    # G_f sel read off the stencil, at every cutoff, signed zeros included
+    rng = np.random.default_rng(modes * levels)
+    units = list(np.eye(2 * modes))
+    for f in units + [np.ones(2 * modes), -np.ones(2 * modes), rng.standard_normal(2 * modes)]:
+        gf = fock.generator(rep := fock.build_rep(modes, levels), f)
+        for m in range(1, levels + 1):
+            idx = fock.box_indices(rep, m)
+            sel = np.zeros((rep.dim, len(idx)), dtype=complex)
+            sel[idx, np.arange(len(idx))] = 1.0
+            got, want = gf.columns(idx), gf @ sel
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (f, m)
+
+
+@pytest.mark.parametrize("modes, levels", [(1, 64), (2, 16), (3, 8)])
+def test_pattern_product_in_column_chunks_keeps_the_bits(monkeypatch, modes, levels):
+    # a gather past GATHER_BYTES goes in chunks of columns, with the bits of
+    # the product in one piece
+    rep = fock.build_rep(modes, levels)
+    rng = np.random.default_rng(modes)
+    gf = fock.generator(rep, rng.standard_normal(2 * modes))
+    for x in (rng.standard_normal((rep.dim, 19)) + 1j * rng.standard_normal((rep.dim, 19)),
+              rng.standard_normal((rep.dim, 7))):
+        want = gf @ x
+        for width in (1, 2, 5):
+            monkeypatch.setattr(fock, "GATHER_BYTES", width * rep.cols.size * x.itemsize)
+            got = gf @ x
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), width
+        monkeypatch.undo()
+
+
 def test_generator_commutator_matches_form_below_top():
     # -i[G_f, G_g] acts as sigma(f,g) on states below the top level
     rep = fock.build_rep(1, 12)
@@ -444,6 +478,32 @@ def test_basis_is_built_once_per_rep(monkeypatch):
     assert rep.basis is rep.basis
     with pytest.raises(ValueError):
         rep.basis[0][0, 0] = 0.0
+
+
+def test_guard_probes_are_built_once_per_dimension_and_read_only():
+    solvers = [fock.ResolventSolver(fock.build_rep(2, 6), z, (1.0, 0.0, 0.0, 1.0))
+               for z in (1.0, 2.0)]
+    probes = fock._probes(36)
+    assert probes is fock._probes(36) and probes.shape == (36, 3)
+    assert all(s.backward_error <= fock.PROBE_RESIDUAL_TOL for s in solvers)
+    with pytest.raises(ValueError):
+        probes[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("modes, levels", [(1, 2), (2, 6), (3, 4)])
+def test_spectral_solve_leaves_the_callers_block_alone(modes, levels):
+    # a read-only block goes in; f with no touched mode scales it by 1/(iz)
+    rep = fock.build_rep(modes, levels)
+    rng = np.random.default_rng(levels)
+    block = rng.standard_normal((rep.dim, 4)) + 1j * rng.standard_normal((rep.dim, 4))
+    kept = block.copy()
+    block.setflags(write=False)
+    for f in (np.zeros(2 * modes), np.ones(2 * modes), np.eye(2 * modes)[-1]):
+        out = fock.ResolventSolver(rep, 2.0, f).apply(block)
+        assert out.flags.writeable and not np.shares_memory(out, block)
+        assert np.array_equal(block, kept)
+    unscaled = fock.ResolventSolver(rep, 2.0, np.zeros(2 * modes)).apply(block)
+    assert np.array_equal(unscaled, block * (1.0 / 2j))
 
 
 def test_basis_nodes_are_gauss_hermite():

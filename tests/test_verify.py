@@ -201,11 +201,13 @@ def test_norm_bound_fails_no_more_often_than_the_lemma_allows(monkeypatch):
     # alpha**(-2r) = 1/16.  A rank-one operator x -> e_1 (e_1* x) is the
     # worst case: the bound misses its norm 1 exactly when every column has
     # |omega_1|^2 < alpha**-2, with probability (1 - exp(-alpha**-2))**r.
-    # Each call draws a fresh Omega from one seeded stream.
+    # Each call draws a fresh Omega from one seeded stream: the block's
+    # drawing function runs without its per-dimension cache.
     alpha, r, trials = 2.0, 2, 20000
     stream = np.random.default_rng(2024)
     monkeypatch.setattr(verify, "NORM_BOUND_FACTOR", alpha)
     monkeypatch.setattr(verify, "NORM_BOUND_COLUMNS", r)
+    monkeypatch.setattr(verify, "_gaussian_block", verify._gaussian_block.__wrapped__)
     monkeypatch.setattr(verify.np.random, "default_rng", lambda seed: stream)
 
     def rank_one(x):
@@ -741,6 +743,52 @@ def test_each_solver_solves_the_box_columns_once(monkeypatch, modes, truncations
     block = caches[0].box_solve(cfg.lambdas[0], cfg.vectors[0], m)
     with pytest.raises(ValueError):
         block[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("modes, truncations", [(1, (16, 24)), (2, (6, 8))])
+def test_each_level_solves_the_gaussian_block_once_per_direction(monkeypatch, modes,
+                                                                  truncations):
+    # rel_iii's scales share R(lam0, f) Omega, and each R(c lam0, c f) Omega
+    # is one solve
+    solves = Counter()
+    solve = fock.ResolventSolver._solve
+
+    def counting(self, block):
+        if block is verify._gaussian_block(self.dim):
+            solves[self.dim, self.z, self.f] += 1
+        return solve(self, block)
+
+    monkeypatch.setattr(fock.ResolventSolver, "_solve", counting)
+    cfg = verify.Config(modes=modes, truncations=truncations, compression=3,
+                        tolerance=1e-2, families=("rel_iii",))
+    result = verify.run_suite(cfg)
+    assert len(result) == len(cfg.scales) * len(cfg.vectors)
+    assert all(c.verdict for c in result)
+    lam0 = cfg.lambdas[0]
+    for n in truncations:
+        dim = n ** modes
+        plain = {(dim, lam0, f) for f in cfg.vectors}
+        scaled = {(dim, c * lam0, tuple(c * x for x in f)) for c in cfg.scales for f in cfg.vectors}
+        assert {key for key in solves if key[0] == dim} == plain | scaled
+    assert set(solves.values()) == {1}
+
+
+def test_gaussian_block_and_its_solves_are_read_only():
+    cache = verify.SolverCache(fock.build_rep(2, 6))
+    omega = verify._gaussian_block(36)
+    assert omega is verify._gaussian_block(36) and omega.shape == (36, verify.NORM_BOUND_COLUMNS)
+    # drawn as before it was kept: from default_rng(0), real parts first
+    rng = np.random.default_rng(0)
+    shape = omega.shape
+    drawn = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    assert omega.tobytes() == drawn.tobytes()
+    f = (1.0, 0.0, 0.0, 1.0)
+    block = cache.gaussian_solve(1.0, f)
+    assert block is cache.gaussian_solve(1.0, f)
+    assert np.array_equal(block, cache.solver(1.0, f).apply(omega))
+    for arr in (omega, block):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_box_memo_keeps_its_byte_budget_and_the_report(monkeypatch):
