@@ -147,10 +147,21 @@ class Expr:
         letters = n * max([1, *(len(w) for _, w in self.terms)])
         if letters > POWER_LIMIT or max(1, len(self.terms)) ** n * letters > POWER_LIMIT:
             raise ValueError(f"power expands past {POWER_LIMIT} terms x letters")
-        out = identity()
+        if len(self.terms) != 1:
+            out = identity()
+            for _ in range(n):
+                out = out * self
+            return out
+        # one term: the product's word is the word n times over, and its
+        # coefficient takes the steps n products take, so every bit is kept:
+        # multiply, `_normalize`'s sum of one coefficient, dropped at zero
+        ((c, word),) = self.terms
+        ((coeff, _),) = identity().terms
         for _ in range(n):
-            out = out * self
-        return out
+            coeff = sum([coeff * c])
+            if coeff == 0:
+                return zero()
+        return Expr(((coeff, word * n),))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -30,6 +30,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -443,15 +444,33 @@ class SchurReport:
     is_scalar: bool
 
 
+def complex_gaussians(seed: int, shape) -> np.ndarray:
+    """Standard complex Gaussians (E|z|^2 = 1) of the given shape, seeded.
+
+    The bytes come from the standard library's `random.Random(seed)`, so
+    numpy.random, 6 MB of resident memory, is never imported.  Each entry
+    takes two little-endian 64-bit words, the first n of the stream for u
+    and the next n for v, each turned into a uniform in (0, 1] by
+    ((bits >> 11) + 1) 2^-53.  Then z = sqrt(-ln u) e^(2 pi i v): |z|^2 =
+    -ln u ~ Exp(1), and the phase is uniform and independent of it, which is
+    the law of a standard complex Gaussian."""
+    n = math.prod(shape)
+    words = np.frombuffer(random.Random(seed).randbytes(16 * n), dtype="<u8")
+    u, v = ((words.reshape(2, n) >> 11) + 1) * 2.0**-53
+    radius, phase = np.sqrt(-np.log(u)), 2.0 * np.pi * v
+    out = np.empty(n, dtype=complex)
+    out.real, out.imag = radius * np.cos(phase), radius * np.sin(phase)
+    return out.reshape(shape)
+
+
 def probe_block(rep: FockRep, cutoff: int, seed: int = 0) -> np.ndarray:
     """Probe columns of the Schur test: the basis states below the cutoff,
-    then RANDOM_PROBES seeded random unit vectors supported on them."""
+    then RANDOM_PROBES seeded random unit vectors supported on them, the
+    rows of `complex_gaussians(seed, (RANDOM_PROBES, box size))` normalized."""
     idx = box_indices(rep, cutoff)
     probes = np.zeros((rep.dim, len(idx) + RANDOM_PROBES), dtype=complex)
     probes[idx, np.arange(len(idx))] = 1.0
-    rng = np.random.default_rng(seed)
-    for j in range(RANDOM_PROBES):
-        phi = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+    for j, phi in enumerate(complex_gaussians(seed, (RANDOM_PROBES, len(idx)))):
         probes[idx, len(idx) + j] = phi / np.linalg.norm(phi)
     return probes
 
@@ -466,18 +485,29 @@ def schur_constant(rep: FockRep, k: np.ndarray, cutoff: int, seed: int = 0) -> S
             raise ValueError(f"matrix shape {k.shape} does not match dim {rep.dim}")
         k = k.__matmul__  # one product for every probe column
     probes = probe_block(rep, cutoff, seed)
-    return schur_report(probes, k(probes))
+    return schur_report(rayleigh_quotients(probes, k(probes)))
 
 
-def schur_report(probes: np.ndarray, images: np.ndarray) -> SchurReport:
-    """Rayleigh quotients <phi, K phi>/<phi, phi> over the probe columns phi,
-    given their images K phi; K is scalar when the quotients all lie within
-    SCHUR_TOL of their mean."""
-    values = np.einsum("ij,ij->j", probes.conj(), images)
-    values /= np.einsum("ij,ij->j", probes.conj(), probes).real
+def rayleigh_quotients(probes: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The Rayleigh quotients <phi, K phi>/<phi, phi> of the probe columns
+    phi, given their images K phi.  Each column's products are summed alone,
+    pairwise along a contiguous row of the transposed block, so a column's
+    quotient has the same bits in any block of columns; an einsum down the
+    columns does not, as numpy buffers its rows in pieces that depend on the
+    block's width."""
+    def column_sums(a, b):
+        return np.multiply(a.T.conj(), b.T, order="C").sum(axis=1)
+
+    return column_sums(probes, images) / column_sums(probes, probes).real
+
+
+def schur_report(values: np.ndarray) -> SchurReport:
+    """Whether K is a multiple of 1, from its Rayleigh quotients over the
+    probe columns: K is scalar when they all lie within SCHUR_TOL of their
+    mean."""
     mean = complex(np.mean(values))
     max_dev = float(np.max(np.abs(values - mean)))
-    return SchurReport(mean=mean, max_deviation=max_dev, probes_used=probes.shape[1],
+    return SchurReport(mean=mean, max_deviation=max_dev, probes_used=len(values),
                        is_scalar=max_dev <= SCHUR_TOL)
 
 

@@ -172,11 +172,9 @@ NORM_BOUND_COLUMNS = 6
 
 @lru_cache(maxsize=16)
 def _gaussian_block(n: int) -> np.ndarray:
-    """Omega of `_norm_bound` for dimension n, drawn once per dimension;
-    read-only."""
-    rng = np.random.default_rng(0)
-    shape = (n, NORM_BOUND_COLUMNS)
-    omega = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    """Omega of `_norm_bound` for dimension n, drawn once per dimension
+    (`fock.complex_gaussians` of seed 0); read-only."""
+    omega = fock.complex_gaussians(0, (n, NORM_BOUND_COLUMNS))
     omega.setflags(write=False)
     return omega
 
@@ -187,11 +185,12 @@ def _norm_bound(matvec, n: int) -> float:
     & Tropp 2011, section 4.3): `_image_bound` of A Omega.
 
     Omega (`_gaussian_block`) holds r = NORM_BOUND_COLUMNS complex Gaussian
-    columns with E|omega_j|^2 = 1, drawn from default_rng(0), and the bound is
-    alpha * max_i |A omega_i| with alpha = NORM_BOUND_FACTOR.  Why it holds:
-    let v be a top right singular vector of A.  Then |A omega| >= sigma_1
-    |v* omega|, and v* omega is a standard complex Gaussian, so |v* omega|^2
-    ~ Exp(1) and P(|v* omega| < 1/alpha) = 1 - exp(-alpha^-2) <= alpha^-2.
+    columns with E|omega_j|^2 = 1, drawn by `fock.complex_gaussians` from
+    seed 0, and the bound is alpha * max_i |A omega_i| with alpha =
+    NORM_BOUND_FACTOR.  Why it holds: let v be a top right singular vector
+    of A.  Then |A omega| >= sigma_1 |v* omega|, and v* omega is a standard
+    complex Gaussian, so |v* omega|^2 ~ Exp(1) and P(|v* omega| < 1/alpha) =
+    1 - exp(-alpha^-2) <= alpha^-2.
     The columns are independent, so P(sigma_1 > alpha max_i |A omega_i|)
     <= alpha^(-2r), 1e-12 at alpha = 10, r = 6.  The seed is fixed, so the
     bound is reproducible, not certain.  The zero operator gives exactly
@@ -571,7 +570,7 @@ class Config:
                 raise ConfigError(f"bad {name}: {exc}") from exc
         if self.modes < 1:
             raise ConfigError("modes must be a positive integer")
-        if self.seed < 0:  # numpy's generators take no negative seed
+        if self.seed < 0:  # random.Random(-s) would draw the probes of seed s
             raise ConfigError(f"bad seed: {self.seed} is negative")
         trunc = self.truncations
         if not trunc:
@@ -818,23 +817,31 @@ def _sigma_cross_validation(cache, space, vectors, m, seed) -> tuple:
 
 def pairing_probes(cache: SolverCache, space, pairs, m: int, seed: int):
     """Schur-probes K = -i[G_f, G_g] below the cutoff m against sigma(f, g)
-    for each pair (f, g) in turn, lazily.  K acts as sigma(f, g) below the
-    truncation boundary.  All pairs share one probe block P, and each G_v P
-    is formed once per vector v, so K P is -i(G_f (G_g P) - G_g (G_f P))
-    from two more products per pair.  Yields (report, sigma(f, g), gap, ok),
-    ok when K is scalar and the gap is at most SIGMA_CROSS_TOL."""
+    for each pair (f, g).  K acts as sigma(f, g) below the truncation
+    boundary.  All pairs share one probe block P, taken a chunk of columns
+    at a time: in a chunk each G_v P is formed once per vector v, so K P is
+    -i(G_f (G_g P) - G_g (G_f P)) from two more products per pair, and only
+    the chunk's images are kept.  A chunk holds as many columns as fit
+    GATHER_BYTES with one image per vector.  Each pair's Rayleigh quotients
+    are collected over the chunks, with the bits of one chunk (see
+    `fock.rayleigh_quotients`), and summarized at the end.  Yields (report,
+    sigma(f, g), gap, ok) per pair, ok when K is scalar and the gap is at
+    most SIGMA_CROSS_TOL."""
     probes = fock.probe_block(cache.rep, m, seed)
-    images = {}
-
-    def image(v):  # G_v P
-        key = tuple(float(x) for x in v)
-        if key not in images:
-            images[key] = cache.generator(v) @ probes
-        return images[key]
-
-    for f, g in pairs:
-        k_probes = -1j * (cache.generator(f) @ image(g) - cache.generator(g) @ image(f))
-        report = fock.schur_report(probes, k_probes)
+    keys = [tuple(tuple(float(x) for x in v) for v in pair) for pair in pairs]
+    generators = {v: cache.generator(v) for pair in keys for v in pair}
+    images_bytes = max(1, len(generators)) * cache.rep.dim * probes.itemsize
+    width = max(1, fock.GATHER_BYTES // images_bytes)
+    values = [[] for _ in pairs]
+    for start in range(0, probes.shape[1], width):
+        chunk = probes[:, start:start + width]
+        images = {v: gv @ chunk for v, gv in generators.items()}  # G_v P
+        for out, (f, g) in zip(values, keys):
+            k_chunk = -1j * (generators[f] @ images[g] - generators[g] @ images[f])
+            out.append(fock.rayleigh_quotients(chunk, k_chunk))
+        del images  # before the next chunk forms its own
+    for (f, g), out in zip(pairs, values):
+        report = fock.schur_report(np.concatenate(out))
         target = symplectic.pair(space, f, g)
         gap = abs(report.mean - target)
         yield report, target, gap, report.is_scalar and gap <= SIGMA_CROSS_TOL

@@ -966,6 +966,40 @@ def test_run_paths_load_only_scipys_lapack_extension(tmp_path):
         assert set(modules) <= {"scipy.linalg._flapack"}, run
 
 
+# runs cli.main in one fresh interpreter, its prints sent to stderr, and
+# prints after each run its exit code and whether numpy.random is loaded
+_NUMPY_RANDOM_PROBE = """
+import contextlib
+import sys
+from resalg import cli
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(argv.split("|"))
+    print(code, "numpy.random" in sys.modules)
+"""
+
+
+def test_run_paths_never_load_numpy_random(tmp_path):
+    # the probes and rel_iii's Gaussian block are drawn from the standard
+    # library's generator, so numpy.random and its 6 MB stay unloaded
+    out = str(tmp_path / "report")
+    runs = [
+        ["verify", "--config", "configs/quick.json", "--out", out],
+        ["verify", "--config", "configs/two_mode.json", "--out", out],
+        ["eval", "R(1,[1,0])*R(-2,[0.5,1])", "--trunc", "32", "--out", out],
+        ["cohomology", "--trunc", "16", "--out", out],
+        ["schur", "--pair", "1,0;0,1", "--out", out],
+        ["schur", "R(1,[1,0])*R(1,[0,0])", "--trunc", "16", "--out", out],
+        ["simplify", "R(1,[1,0])^3*R(2,[0,1])"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_RANDOM_PROBE, *("|".join(run) for run in runs)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{code} False" for code in (0, 0, 0, 0, 0, 1, 0)]
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "resalg.cli", "simplify", "R(3,[0,0])"],

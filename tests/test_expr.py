@@ -69,6 +69,41 @@ def test_parse_powers():
     assert parse("R(1,[1,0])^3") == resolvent(1, (1, 0)) ** 3
 
 
+def _power_by_products(e: Expr, n: int) -> Expr:
+    out = identity()
+    for _ in range(n):
+        out = out * e
+    return out
+
+
+def _bits(e: Expr):
+    # repr tells -0.0 from 0.0, which == does not
+    return [(repr(c), w) for c, w in e.terms]
+
+
+def test_one_term_power_keeps_the_bits_of_repeated_products():
+    # seeded one-term bases, signed zeros, coefficients that underflow or
+    # overflow on the way, and words of zero to three letters
+    rng = np.random.default_rng(17)
+    parts = (0.0, -0.0, 1.0, -1.0, 1e-300, -3e200, float("inf"), float("nan"))
+    for trial in range(300):
+        if trial % 3:
+            coeff = complex(*rng.standard_normal(2) * 10.0 ** rng.integers(-3, 4))
+        else:
+            coeff = complex(*rng.choice(parts, 2))
+        word = tuple(Generator(Z_POOL[i], F_POOL[j])
+                     for i, j in rng.integers(0, 4, (rng.integers(0, 4), 2)))
+        base = Expr(((coeff, word),))
+        if len(base.terms) != 1:
+            continue
+        for n in (0, 1, 2, 3, int(rng.integers(4, 40))):
+            if n * max(1, len(word)) > expr.POWER_LIMIT:
+                continue
+            assert _bits(base**n) == _bits(_power_by_products(base, n)), (coeff, word, n)
+    power = resolvent(1, (1, 0)) ** expr.POWER_LIMIT
+    assert _bits(power) == _bits(_power_by_products(resolvent(1, (1, 0)), expr.POWER_LIMIT))
+
+
 def test_power_past_the_limit_is_a_parse_error_at_its_exponent():
     # one letter: POWER_LIMIT letters expand, and print as a power that
     # parses back; one more is refused before any expansion

@@ -634,6 +634,38 @@ def test_box_indices_two_modes():
         fock.box_indices(rep, 5)
 
 
+def test_complex_gaussians_are_seeded():
+    draw = fock.complex_gaussians(7, (50, 3))
+    assert draw.shape == (50, 3) and draw.dtype == complex
+    assert draw.tobytes() == fock.complex_gaussians(7, (50, 3)).tobytes()
+    assert draw.tobytes() != fock.complex_gaussians(8, (50, 3)).tobytes()
+
+
+def test_complex_gaussians_are_standard():
+    # |z|^2 ~ Exp(1) with a uniform phase: E|z|^2 = 1 and E z = 0
+    z = fock.complex_gaussians(3, (10**5,))
+    assert np.all(np.isfinite(z))
+    assert abs(np.mean(np.abs(z) ** 2) - 1.0) <= 0.02
+    assert abs(np.mean(z)) <= 0.02
+    assert abs(np.mean(z * z)) <= 0.02  # circular: E z^2 = 0
+
+
+def test_rayleigh_quotients_of_a_column_do_not_depend_on_its_block():
+    # dense columns past numpy's 8192-element buffer, where an einsum down
+    # the columns sums a column in pieces that depend on the block's width
+    rng = np.random.default_rng(11)
+    shape = (16384, 19)
+    probes, images = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                      for _ in range(2))
+    whole = fock.rayleigh_quotients(probes, images)
+    for width in (1, 2, 3, 6):
+        parts = [fock.rayleigh_quotients(probes[:, s:s + width], images[:, s:s + width])
+                 for s in range(0, shape[1], width)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), width
+    expected = np.sum(probes.conj() * images, axis=0) / np.sum(np.abs(probes) ** 2, axis=0)
+    assert np.allclose(whole, expected, rtol=1e-12, atol=0.0)
+
+
 def test_schur_constant_detects_scalar():
     rep = fock.build_rep(2, 8)
     f, g = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import itertools
 import json
 import math
 import pkgutil
@@ -201,14 +202,14 @@ def test_norm_bound_fails_no_more_often_than_the_lemma_allows(monkeypatch):
     # alpha**(-2r) = 1/16.  A rank-one operator x -> e_1 (e_1* x) is the
     # worst case: the bound misses its norm 1 exactly when every column has
     # |omega_1|^2 < alpha**-2, with probability (1 - exp(-alpha**-2))**r.
-    # Each call draws a fresh Omega from one seeded stream: the block's
-    # drawing function runs without its per-dimension cache.
+    # Each call draws a fresh Omega, from the next seed of one counter: the
+    # block's drawing function runs without its per-dimension cache.
     alpha, r, trials = 2.0, 2, 20000
-    stream = np.random.default_rng(2024)
+    seeds, draw = itertools.count(2024), fock.complex_gaussians
     monkeypatch.setattr(verify, "NORM_BOUND_FACTOR", alpha)
     monkeypatch.setattr(verify, "NORM_BOUND_COLUMNS", r)
     monkeypatch.setattr(verify, "_gaussian_block", verify._gaussian_block.__wrapped__)
-    monkeypatch.setattr(verify.np.random, "default_rng", lambda seed: stream)
+    monkeypatch.setattr(fock, "complex_gaussians", lambda seed, shape: draw(next(seeds), shape))
 
     def rank_one(x):
         out = np.zeros_like(x)
@@ -777,10 +778,8 @@ def test_gaussian_block_and_its_solves_are_read_only():
     cache = verify.SolverCache(fock.build_rep(2, 6))
     omega = verify._gaussian_block(36)
     assert omega is verify._gaussian_block(36) and omega.shape == (36, verify.NORM_BOUND_COLUMNS)
-    # drawn as before it was kept: from default_rng(0), real parts first
-    rng = np.random.default_rng(0)
-    shape = omega.shape
-    drawn = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    # drawn as before it was kept: complex Gaussians of seed 0
+    drawn = fock.complex_gaussians(0, omega.shape)
     assert omega.tobytes() == drawn.tobytes()
     f = (1.0, 0.0, 0.0, 1.0)
     block = cache.gaussian_solve(1.0, f)
@@ -856,3 +855,34 @@ def test_sigma_cross_validation_matches_pairing_probe_per_pair(monkeypatch):
     assert math.isinf(worst)
     assert error == (f"commutator scalar {report.mean} disagrees with the pairing "
                      f"{target} for f={planted[0]}, g={planted[1]} (gap {gap:.3e})")
+
+
+@pytest.mark.parametrize("levels", [8, 64])
+def test_sigma_cross_validation_in_column_chunks_keeps_the_bits(monkeypatch, levels):
+    # a budget of one or two columns per chunk gives each pair the mean, max
+    # deviation and gap of one chunk, bit for bit, and the planted pair is
+    # still the one named
+    rep = fock.build_rep(2, levels, max_dim=levels**2)
+    vectors = verify._default_vectors(2)
+    pairs = verify._distinct_pairs(vectors)
+
+    def probed(width):
+        monkeypatch.setattr(fock, "GATHER_BYTES", width * len(vectors) * rep.dim * 16)
+        return [repr((report.mean, report.max_deviation, report.probes_used, gap, ok))
+                for report, _, gap, ok in verify.pairing_probes(
+                    verify.SolverCache(rep), rep.space, pairs, 3, 5)]
+
+    whole = probed(9 + fock.RANDOM_PROBES)  # every probe column in one chunk
+    assert len(whole) == len(pairs)
+    for width in (1, 2):
+        assert probed(width) == whole, width
+
+    pair, planted = symplectic.pair, pairs[3]
+    monkeypatch.setattr(
+        symplectic, "pair",
+        lambda space, f, g: pair(space, f, g) + (1e-3 if (f, g) == planted else 0.0),
+    )
+    worst, error = verify._sigma_cross_validation(verify.SolverCache(rep), rep.space,
+                                                  vectors, 3, 5)
+    assert math.isinf(worst)
+    assert error.endswith(f"for f={planted[0]}, g={planted[1]} (gap 1.000e-03)")
