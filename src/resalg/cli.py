@@ -19,7 +19,6 @@ import json
 import math
 import pathlib
 import sys
-from dataclasses import replace
 from functools import cache, partial
 
 from resalg import cohomology, fock, verify
@@ -39,14 +38,11 @@ def _emit(args, payload: dict) -> None:
 
 
 def _load_config(args) -> verify.Config:
-    """The config file's config, or the defaults, with the command-line
-    overrides; without a file the config is built and validated once."""
-    config = None
-    if getattr(args, "config", None):
-        path = pathlib.Path(args.config)
-        if not path.exists():
-            raise verify.ConfigError(f"config file not found: {path}")
-        config = verify.Config.from_json(path.read_text())
+    """The config file's fields, or the defaults, with the command-line
+    overrides in their place; the config is built and validated once."""
+    path = getattr(args, "config", None) and pathlib.Path(args.config)
+    if path and not path.exists():
+        raise verify.ConfigError(f"config file not found: {path}")
     overrides = {}
     if getattr(args, "trunc", None):
         try:  # the config's reader takes numbers, not strings
@@ -58,9 +54,7 @@ def _load_config(args) -> verify.Config:
     for option, key in (("compress", "compression"), ("tol", "tolerance"), ("seed", "seed")):
         if getattr(args, option, None) is not None:
             overrides[key] = getattr(args, option)
-    if config is None:
-        return verify.Config(**overrides)
-    return replace(config, **overrides) if overrides else config
+    return verify.Config.from_json(path.read_text() if path else "{}", **overrides)
 
 
 def _parse_vector(text: str) -> tuple:

@@ -361,18 +361,20 @@ def _rayleigh_weights(rep: fock.FockRep, cutoff: int, seed: int):
     With entry e at (row i_e, column j_e), <phi_c, K phi_c>/<phi_c, phi_c>
     = sum_e K_e W[e,c] for W[e,c] = conj(phi[i_e,c]) phi[j_e,c] / |phi_c|^2.
     The slots past a mode's boundary are dropped, and so are the entries
-    whose weights all vanish, outside the probes' support.
+    whose weights all vanish, outside the probes' support: the box rows.
     """
     probes = fock.probe_block(rep, cutoff, seed)
     norms = np.einsum("ij,ij->j", probes.conj(), probes).real
-    weights = probes.conj() * probes[rep.cols] / norms
-    present = rep.cols != np.arange(rep.dim)
+    idx = fock.box_indices(rep, cutoff)
+    cols = rep.cols[:, idx]
+    weights = probes[idx].conj() * probes[cols] / norms
+    present = cols != idx
     present[rep.diagonal] = True
-    slot, row = np.nonzero(present & np.any(weights != 0, axis=2))
+    slot, k = np.nonzero(present & np.any(weights != 0, axis=2))
     # column by column, rows ascending: the bits of `_probe_rows` depend on it
-    order = np.lexsort((row, rep.cols[slot, row]))
-    seen = slot[order], row[order]
-    return seen, weights[seen]
+    order = np.lexsort((idx[k], cols[slot, k]))
+    slot, k = slot[order], k[order]
+    return (slot, idx[k]), weights[slot, k]
 
 
 def _probe_rows(rows: np.ndarray, weights: np.ndarray, tol: float, name) -> np.ndarray:

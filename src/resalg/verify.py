@@ -653,14 +653,15 @@ class Config:
         return cls(**data)
 
     @classmethod
-    def from_json(cls, text: str) -> "Config":
+    def from_json(cls, text: str, **overrides) -> "Config":
+        """The config of a JSON object, `overrides` in place of its fields."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict({**data, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -717,14 +718,20 @@ def _distinct_pairs(values):
     return [(a, b) for i, a in enumerate(values) for b in values[i + 1 :]]
 
 
+def _unique(values) -> tuple:
+    """The values in first-seen order, each once."""
+    return tuple(dict.fromkeys(values))
+
+
 def _suite_table(config: Config) -> tuple:
     """The relation table: one (relation, check, tolerance, keywords, grid)
     row per family in report order.  `keywords` names the suite-wide
     arguments (`m`, `tol`, `space`) the check takes; a grid point holds the
-    rest.  Each build reads the checks from the module, so wrappers apply."""
-    lambdas, vectors, tol = config.lambdas, config.vectors, config.tolerance
+    rest, and no grid holds a point twice.  Each build reads the checks from
+    the module, so wrappers apply."""
+    lambdas, vectors, tol = config.lambdas, _unique(config.vectors), config.tolerance
     lam0 = lambdas[0]
-    lam_pairs = [(lam0, lam0), (lam0, lambdas[-1])]
+    lam_pairs = _unique([(lam0, lam0), (lam0, lambdas[-1])])
     vec_pairs = _distinct_pairs(vectors)
     box, converging = ("m",), ("m", "tol", "space")
     return (
@@ -747,13 +754,13 @@ def _suite_table(config: Config) -> tuple:
             for f, g in vec_pairs
         ]),
         ("rel_iii", check_relation_iii, EXACT_TOL, (), [
-            dict(f=f, lam=lam0, c=c) for c in config.scales for f in vectors
+            dict(f=f, lam=lam0, c=c) for c in _unique(config.scales) for f in vectors
         ]),
         ("rel_iv", check_relation_iv, tol, converging, [
             dict(f=f, g=g, mu=lam0) for f in vectors for g in vectors if f != g
         ]),
         ("almost_inner", check_almost_inner, tol, converging, [
-            dict(f=f, lam=lam0, probe=probe) for probe in config.probes for f in vectors
+            dict(f=f, lam=lam0, probe=probe) for probe in _unique(config.probes) for f in vectors
         ]),
     )
 
@@ -793,7 +800,7 @@ def run_suite(config: Config) -> SuiteResult:
                 )
             checks.append(replace(check, seed=config.seed))
     sigma_cross_max, sigma_cross_error = _sigma_cross_validation(
-        caches[-1], space, config.vectors, config.compression, config.seed
+        caches[-1], space, _unique(config.vectors), config.compression, config.seed
     )
     return SuiteResult(config, tuple(checks), sigma_cross_max, sigma_cross_error)
 
@@ -818,30 +825,21 @@ def _sigma_cross_validation(cache, space, vectors, m, seed) -> tuple:
 def pairing_probes(cache: SolverCache, space, pairs, m: int, seed: int):
     """Schur-probes K = -i[G_f, G_g] below the cutoff m against sigma(f, g)
     for each pair (f, g).  K acts as sigma(f, g) below the truncation
-    boundary.  All pairs share one probe block P, taken a chunk of columns
-    at a time: in a chunk each G_v P is formed once per vector v, so K P is
-    -i(G_f (G_g P) - G_g (G_f P)) from two more products per pair, and only
-    the chunk's images are kept.  A chunk holds as many columns as fit
-    GATHER_BYTES with one image per vector.  Each pair's Rayleigh quotients
-    are collected over the chunks, with the bits of one chunk (see
-    `fock.rayleigh_quotients`), and summarized at the end.  Yields (report,
-    sigma(f, g), gap, ok) per pair, ok when K is scalar and the gap is at
-    most SIGMA_CROSS_TOL."""
-    probes = fock.probe_block(cache.rep, m, seed)
-    keys = [tuple(tuple(float(x) for x in v) for v in pair) for pair in pairs]
-    generators = {v: cache.generator(v) for pair in keys for v in pair}
-    images_bytes = max(1, len(generators)) * cache.rep.dim * probes.itemsize
-    width = max(1, fock.GATHER_BYTES // images_bytes)
-    values = [[] for _ in pairs]
-    for start in range(0, probes.shape[1], width):
-        chunk = probes[:, start:start + width]
-        images = {v: gv @ chunk for v, gv in generators.items()}  # G_v P
-        for out, (f, g) in zip(values, keys):
-            k_chunk = -1j * (generators[f] @ images[g] - generators[g] @ images[f])
-            out.append(fock.rayleigh_quotients(chunk, k_chunk))
-        del images  # before the next chunk forms its own
-    for (f, g), out in zip(pairs, values):
-        report = fock.schur_report(np.concatenate(out))
+    boundary.  The probe columns live on the box idx of cutoff m, so their
+    Rayleigh quotients read only K's block on it.  G_v moves one level in
+    one mode, so G_v sel vanishes off the box `near` of cutoff m + 1 (N at
+    most), and A_v = (G_v sel)[near] is read off the stencil once per vector
+    (`PatternMatrix.columns`).  G_v is self-adjoint, so K's box block is
+    -i(A_f* A_g - A_g* A_f).  Yields (report, sigma(f, g), gap, ok) per
+    pair, ok when K is scalar and the gap is at most SIGMA_CROSS_TOL."""
+    idx = fock.box_indices(cache.rep, m)
+    near = fock.box_indices(cache.rep, min(m + 1, cache.rep.levels))
+    phi = fock.probe_block(cache.rep, m, seed)[idx]
+    blocks = {v: cache.generator(v).columns(idx, near) for pair in pairs for v in map(tuple, pair)}
+    for f, g in pairs:
+        a_f, a_g = blocks[tuple(f)], blocks[tuple(g)]
+        k_box = -1j * (a_f.conj().T @ a_g - a_g.conj().T @ a_f)
+        report = fock.schur_report(fock.rayleigh_quotients(phi, k_box @ phi))
         target = symplectic.pair(space, f, g)
         gap = abs(report.mean - target)
         yield report, target, gap, report.is_scalar and gap <= SIGMA_CROSS_TOL

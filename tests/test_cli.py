@@ -230,6 +230,29 @@ def test_flags_without_a_config_file_are_validated_once(capsys, monkeypatch, fla
     assert len(checks) == 1
 
 
+def test_config_file_is_validated_once_after_the_flags(capsys, monkeypatch, tmp_path):
+    # the file's default truncations, 256**2 states, exceed the cap; the
+    # flags replace them before the one validation
+    checks = []
+    post_init = verify.Config.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(verify.Config, "__post_init__", counting)
+    path, out = tmp_path / "m2.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"modes": 2}))
+    code, _, err = run_cli(capsys, "verify", "--config", str(path), "--trunc", "8,12",
+                           "--compress", "3", "--tol", "1e-2", "--out", str(out))
+    assert code in (0, 1)
+    assert "config error" not in err
+    assert len(checks) == 1
+    config = json.loads(out.read_text())["config"]
+    assert (config["modes"], config["truncations"]) == (2, [8, 12])
+    assert (config["compression"], config["tolerance"]) == (3, 1e-2)
+
+
 @pytest.mark.parametrize("command", [("cohomology",), ("schur", "--pair", "1,0;0,1")])
 @pytest.mark.parametrize("flags, seed", [(("--seed", "-1"), None), ((), -1)])
 def test_negative_seed_exits_2_before_the_run(capsys, tmp_path, command, flags, seed):

@@ -362,6 +362,28 @@ def test_build_cocycle_matches_per_pair_extraction():
         assert len(stored_pairs(xi)) == expected
 
 
+@pytest.mark.parametrize("modes, levels, cutoff", [
+    (1, 2, 2), (1, 16, 4), (1, 16, 16), (2, 8, 3), (2, 8, 8), (3, 4, 2),
+])
+def test_rayleigh_weights_on_the_box_rows_keep_the_bits(modes, levels, cutoff):
+    # the weights formed on every row of the gather, the reference: off the
+    # box rows they all vanish, so the box rows give the same entries, in
+    # the same order, with the same bits
+    rep = fock.build_rep(modes, levels)
+    for seed in range(3):
+        probes = fock.probe_block(rep, cutoff, seed)
+        norms = np.einsum("ij,ij->j", probes.conj(), probes).real
+        weights = probes.conj() * probes[rep.cols] / norms
+        present = rep.cols != np.arange(rep.dim)
+        present[rep.diagonal] = True
+        slot, row = np.nonzero(present & np.any(weights != 0, axis=2))
+        order = np.lexsort((row, rep.cols[slot, row]))
+        want = slot[order], row[order]
+        seen, got = coh._rayleigh_weights(rep, cutoff, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+        assert got.tobytes() == weights[want].tobytes()
+
+
 def test_build_cocycle_bits_do_not_depend_on_the_chunks(rep, monkeypatch):
     # box 2 has a row of one pair, f = g = (1, 1); with chunks of two or
     # three pairs every value keeps the bits of a single chunk

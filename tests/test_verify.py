@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from conftest import csc_generator
 
 import resalg
 from resalg import fock, symplectic, verify
@@ -702,6 +703,35 @@ def test_suite_expression_probe_forms_no_dense_evaluation(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("repeats, once", [
+    (dict(lambdas=(1.0,)), dict(lambdas=(1.0,))),
+    (dict(vectors=((1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))), dict()),
+    (dict(scales=(-1.0, 0.5, -1.0, 2.5)), dict()),
+    (dict(probes=("Q1", "P1", "Q1")), dict(probes=("Q1", "P1"))),
+])
+def test_each_suite_point_runs_once(monkeypatch, repeats, once):
+    # a repeated vector, scale or probe, or the lambda pair of one lambda,
+    # is checked once, in first-seen order, and the cross-validation takes
+    # each vector once
+    crossed = []
+    cross = verify._sigma_cross_validation
+
+    def recording(cache, space, vectors, m, seed):
+        crossed.append(vectors)
+        return cross(cache, space, vectors, m, seed)
+
+    monkeypatch.setattr(verify, "_sigma_cross_validation", recording)
+    base = dict(truncations=(16, 24), compression=4)
+    report = verify.run_suite(verify.Config(**base, **repeats)).to_report()
+    want = verify.run_suite(verify.Config(**base, **once)).to_report()
+    points = Counter((c["relation"], json.dumps(c["params"], sort_keys=True))
+                     for c in report["checks"])
+    assert max(points.values()) == 1
+    assert report["checks"] == want["checks"]
+    assert report["sigma_cross_max"] == want["sigma_cross_max"]
+    assert crossed[0] == crossed[1] == verify._default_vectors(1)
+
+
 def test_suite_deterministic_report():
     cfg = verify.Config(truncations=(8, 12), compression=4)
     import json
@@ -819,30 +849,40 @@ def test_box_memo_keeps_its_byte_budget_and_the_report(monkeypatch):
 
 
 def _pairing_reference(rep, f, g, m, seed):
-    """(report, sigma, gap) of K = -i[G_f, G_g] Schur-probed on its own probe
-    block, with K applied as the two generators in turn."""
-    gf, gg = fock.generator(rep, f), fock.generator(rep, g)
-    report = fock.schur_constant(rep, lambda x: -1j * (gf @ (gg @ x) - gg @ (gf @ x)),
-                                 cutoff=m, seed=seed)
+    """(report, sigma, gap) of the dense K = -i(G_f G_g - G_g G_f), with the
+    generators from scipy's CSC matrices and the quotients taken on the full
+    probe block."""
+    gf, gg = csc_generator(rep, f), csc_generator(rep, g)
+    k = (-1j * (gf @ gg - gg @ gf)).toarray()
+    probes = fock.probe_block(rep, m, seed)
+    report = fock.schur_report(fock.rayleigh_quotients(probes, k @ probes))
     target = symplectic.pair(rep.space, f, g)
     return report, target, abs(report.mean - target)
+
+
+def _assert_close_to_reference(probed, want):
+    (report, target, gap, _), (ref, ref_target, ref_gap) = probed, want
+    assert target == ref_target
+    assert report.probes_used == ref.probes_used
+    assert abs(report.mean - ref.mean) <= 1e-14
+    assert abs(report.max_deviation - ref.max_deviation) <= 1e-14
+    assert abs(gap - ref_gap) <= 1e-14
 
 
 def test_sigma_cross_validation_matches_pairing_probe_per_pair(monkeypatch):
     rep = fock.build_rep(2, 8)
     vectors = verify._default_vectors(2)
     pairs = verify._distinct_pairs(vectors)
-    for f, g in pairs:  # the suite shares G_v P; `schur --pair` takes one pair
-        want = _pairing_reference(rep, f, g, 3, 5)
+    shared = list(verify.pairing_probes(verify.SolverCache(rep), rep.space, pairs, 3, 5))
+    for (f, g), probed in zip(pairs, shared, strict=True):
+        # the suite probes every pair at once; `schur --pair` takes one pair
         alone = next(verify.pairing_probes(verify.SolverCache(rep), rep.space, [(f, g)], 3, 5))
-        assert alone[:3] == want
-    shared = verify.pairing_probes(verify.SolverCache(rep), rep.space, pairs, 3, 5)
-    assert [probed[:3] for probed in shared] == [
-        _pairing_reference(rep, f, g, 3, 5) for f, g in pairs]
+        assert alone == probed
+        _assert_close_to_reference(probed, _pairing_reference(rep, f, g, 3, 5))
     worst, error = verify._sigma_cross_validation(verify.SolverCache(rep), rep.space,
                                                   vectors, 3, 5)
     assert error is None
-    assert worst == max(_pairing_reference(rep, f, g, 3, 5)[2] for f, g in pairs)
+    assert worst == max(gap for _, _, gap, _ in shared)
 
     pair, planted = symplectic.pair, pairs[4]
     monkeypatch.setattr(
@@ -851,38 +891,39 @@ def test_sigma_cross_validation_matches_pairing_probe_per_pair(monkeypatch):
     )
     worst, error = verify._sigma_cross_validation(verify.SolverCache(rep), rep.space,
                                                   vectors, 3, 5)
-    report, target, gap = _pairing_reference(rep, *planted, 3, 5)
-    assert math.isinf(worst)
+    report, target, gap, ok = next(
+        verify.pairing_probes(verify.SolverCache(rep), rep.space, [planted], 3, 5))
+    assert math.isinf(worst) and not ok
     assert error == (f"commutator scalar {report.mean} disagrees with the pairing "
                      f"{target} for f={planted[0]}, g={planted[1]} (gap {gap:.3e})")
 
 
-@pytest.mark.parametrize("levels", [8, 64])
-def test_sigma_cross_validation_in_column_chunks_keeps_the_bits(monkeypatch, levels):
-    # a budget of one or two columns per chunk gives each pair the mean, max
-    # deviation and gap of one chunk, bit for bit, and the planted pair is
-    # still the one named
-    rep = fock.build_rep(2, levels, max_dim=levels**2)
-    vectors = verify._default_vectors(2)
+@pytest.mark.parametrize("modes, levels", [(1, 16), (2, 8), (3, 4)])
+@pytest.mark.parametrize("below_top", [True, False])
+def test_sigma_cross_validation_reads_the_box_block(modes, levels, below_top):
+    # K's box block from the generators' columns on the next box agrees with
+    # the dense commutator on the full probe block; at m = N the boundary
+    # defect fails, at the same first pair
+    rep = fock.build_rep(modes, levels)
+    m = min(3, levels - 1) if below_top else levels
+    vectors = verify._default_vectors(modes)
     pairs = verify._distinct_pairs(vectors)
-
-    def probed(width):
-        monkeypatch.setattr(fock, "GATHER_BYTES", width * len(vectors) * rep.dim * 16)
-        return [repr((report.mean, report.max_deviation, report.probes_used, gap, ok))
-                for report, _, gap, ok in verify.pairing_probes(
-                    verify.SolverCache(rep), rep.space, pairs, 3, 5)]
-
-    whole = probed(9 + fock.RANDOM_PROBES)  # every probe column in one chunk
-    assert len(whole) == len(pairs)
-    for width in (1, 2):
-        assert probed(width) == whole, width
-
-    pair, planted = symplectic.pair, pairs[3]
-    monkeypatch.setattr(
-        symplectic, "pair",
-        lambda space, f, g: pair(space, f, g) + (1e-3 if (f, g) == planted else 0.0),
-    )
+    idx = fock.box_indices(rep, m)
+    off_near = np.setdiff1d(np.arange(rep.dim), fock.box_indices(rep, min(m + 1, levels)))
+    for v in vectors:
+        assert not fock.generator(rep, v).columns(idx)[off_near].any()
+    probed = list(verify.pairing_probes(verify.SolverCache(rep), rep.space, pairs, m, 5))
+    refs = [_pairing_reference(rep, f, g, m, 5) for f, g in pairs]
+    for got, want in zip(probed, refs, strict=True):
+        _assert_close_to_reference(got, want)
+    ref_ok = [ref.is_scalar and gap <= verify.SIGMA_CROSS_TOL for ref, _, gap in refs]
+    assert [ok for *_, ok in probed] == ref_ok
     worst, error = verify._sigma_cross_validation(verify.SolverCache(rep), rep.space,
-                                                  vectors, 3, 5)
-    assert math.isinf(worst)
-    assert error.endswith(f"for f={planted[0]}, g={planted[1]} (gap 1.000e-03)")
+                                                  vectors, m, 5)
+    if below_top:
+        assert all(ref_ok) and error is None
+        assert worst <= verify.SIGMA_CROSS_TOL
+    else:
+        f, g = pairs[ref_ok.index(False)]
+        assert math.isinf(worst)
+        assert f"for f={f}, g={g} (gap " in error
