@@ -18,7 +18,9 @@ gauge and on `random_gauge(4, 2, seed=1)`, whose report is about four times
 larger, with two modes on `random_gauge(4, 3, seed=1)` (box 3, 2401
 lattice points), with two modes at N=48 and N=64 on
 `random_gauge(4, 1, seed=1)` (box 1, where the representation's dimension
-dominates), and one `eval`.  Reports go to a
+dominates), `schur --pair` with one mode at N=2048 (box 2000) and with two
+modes at N=64 with the box the whole space (it exits 1: the probe sees the
+truncation boundary), and one `eval`.  Reports go to a
 scratch file, not to the terminal.  BLAS runs at its default threading
 unless OPENBLAS_NUM_THREADS is set beforehand; the environment (CPUs, BLAS
 libraries and their thread counts) is recorded with the timings, since the
@@ -65,6 +67,10 @@ COMMANDS = {
                                "--trunc", "48", "--gauge", "{random_gauge_box1}"],
     "cohomology_2m_box1_n64": ["cohomology", "--config", "configs/two_mode.json",
                                "--trunc", "64", "--gauge", "{random_gauge_box1}"],
+    "schur_pair_1m_n2048": ["schur", "--pair", "1,0;0,1", "--trunc", "2048",
+                            "--compress", "2000"],
+    "schur_pair_2m_box_n64": ["schur", "--config", "configs/two_mode.json",
+                              "--pair", "1,0,0,0;0,1,0,0", "--trunc", "64", "--compress", "64"],
     "eval": ["eval", "R(1,[1,0])*R(-2,[0.5,1])", "--trunc", "64"],
 }
 

@@ -373,8 +373,7 @@ def _rayleigh_weights(rep: fock.FockRep, cutoff: int, seed: int):
     slot, k = np.nonzero(present & np.any(weights != 0, axis=2))
     # column by column, rows ascending: the bits of `_probe_rows` depend on it
     order = np.lexsort((idx[k], cols[slot, k]))
-    slot, k = slot[order], k[order]
-    return (slot, idx[k]), weights[slot, k]
+    return (slot[order], idx[k[order]]), weights[slot[order], k[order]]
 
 
 def _probe_rows(rows: np.ndarray, weights: np.ndarray, tol: float, name) -> np.ndarray:

@@ -53,9 +53,8 @@ PROBE_RESIDUAL_TOL = 1e-10
 SCHUR_TOL = 1e-8
 RANDOM_PROBES = 10
 
-# bytes of rows a stencil product gathers at once; a wider block of columns,
-# such as rel_iv's and almost_inner's box solves at large dimensions, is
-# multiplied in column chunks, with the same bits
+# bytes of rows a stencil product gathers at once; a wider block of columns
+# (rel_iv's and almost_inner's box solves) goes in column chunks, same bits
 GATHER_BYTES = 2**23
 
 _MAGIC = b"RAMX"
@@ -131,21 +130,19 @@ class PatternMatrix:
         rows = x.take(cols.ravel(), axis=0).reshape(cols.shape + x.shape[1:])
         return np.einsum("tn,tn...->n...", self.data, rows)
 
-    def columns(self, idx: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    def columns(self, idx: np.ndarray) -> np.ndarray:
         """`self @ sel` for the identity's columns `sel` at the indices idx,
-        or its rows `rows` (ascending, holding every nonzero), read off the
-        stencil: column j holds the diagonal value at row idx[j] and, for
-        each slot t whose column is present, data[2n - t, r] at row r =
-        cols[t, idx[j]], where column idx[j] sits in r's mirror slot.  The
-        product computes each of these entries as one term times 1.0 plus
-        exact zeros, so the bits are its bits."""
+        read off the stencil: column j holds the diagonal value at row idx[j]
+        and, for each slot t whose column is present, data[2n - t, r] at row
+        r = cols[t, idx[j]], where column idx[j] sits in r's mirror slot.
+        The product computes each of these entries as one term times 1.0
+        plus exact zeros, so the bits are its bits."""
         cols, diagonal = self.rep.cols, self.rep.diagonal
-        rows = np.arange(self.rep.dim) if rows is None else rows
-        hit = cols[:, idx]
-        t, j = np.nonzero(hit != idx)
-        out = np.zeros((len(rows), len(idx)), dtype=complex)
-        out[np.searchsorted(rows, idx), np.arange(len(idx))] = self.data[diagonal, idx]
-        out[np.searchsorted(rows, hit[t, j]), j] = self.data[2 * diagonal - t, hit[t, j]]
+        rows = cols[:, idx]
+        t, j = np.nonzero(rows != idx)
+        out = np.zeros((self.rep.dim, len(idx)), dtype=complex)
+        out[idx, np.arange(len(idx))] = self.data[diagonal, idx]
+        out[rows[t, j], j] = self.data[2 * diagonal - t, rows[t, j]]
         return out
 
     def toarray(self) -> np.ndarray:
@@ -466,15 +463,20 @@ def complex_gaussians(seed: int, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
+def random_probes(seed: int, size: int) -> np.ndarray:
+    """RANDOM_PROBES seeded random unit columns of length `size`: the rows
+    of `complex_gaussians(seed, (RANDOM_PROBES, size))`, normalized."""
+    rows = complex_gaussians(seed, (RANDOM_PROBES, size))
+    return np.stack([phi / np.linalg.norm(phi) for phi in rows], axis=1)
+
+
 def probe_block(rep: FockRep, cutoff: int, seed: int = 0) -> np.ndarray:
     """Probe columns of the Schur test: the basis states below the cutoff,
-    then RANDOM_PROBES seeded random unit vectors supported on them, the
-    rows of `complex_gaussians(seed, (RANDOM_PROBES, box size))` normalized."""
+    then the `random_probes` supported on them."""
     idx = box_indices(rep, cutoff)
     probes = np.zeros((rep.dim, len(idx) + RANDOM_PROBES), dtype=complex)
     probes[idx, np.arange(len(idx))] = 1.0
-    for j, phi in enumerate(complex_gaussians(seed, (RANDOM_PROBES, len(idx)))):
-        probes[idx, len(idx) + j] = phi / np.linalg.norm(phi)
+    probes[idx, len(idx):] = random_probes(seed, len(idx))
     return probes
 
 

@@ -495,13 +495,14 @@ def _string(value) -> str:
     return value
 
 
-def _list(read):
+def _list(read, unique=False):
     """Reader of a list (or tuple) of items that `read` takes, as a tuple."""
 
     def read_list(value) -> tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{value!r} is not a list")
-        return tuple(read(x) for x in value)
+        items = (read(x) for x in value)  # once each if unique, first seen first
+        return tuple(dict.fromkeys(items) if unique else items)
 
     return read_list
 
@@ -522,6 +523,7 @@ def _space_config(value) -> dict:
 # How each Config field is read.  Config(...), Config.from_dict and
 # dataclasses.replace all pass every field through its reader, then the
 # cross-field checks run.  `symplectic.space_from_config` builds `space`.
+# A repeated scale, vector or probe is read once: no check runs twice.
 _READERS = {
     "modes": _integer,
     "truncations": _list(_integer),
@@ -530,9 +532,9 @@ _READERS = {
     "seed": _integer,
     "space": _optional(_space_config),
     "lambdas": _list(_spectral),
-    "scales": _list(_real),
-    "vectors": _optional(_list(_list(_real))),
-    "probes": _list(_string),
+    "scales": _list(_real, unique=True),
+    "vectors": _optional(_list(_list(_real), unique=True)),
+    "probes": _list(_string, unique=True),
     "families": _optional(_list(_string)),
     "max_dim": _integer,
 }
@@ -718,20 +720,14 @@ def _distinct_pairs(values):
     return [(a, b) for i, a in enumerate(values) for b in values[i + 1 :]]
 
 
-def _unique(values) -> tuple:
-    """The values in first-seen order, each once."""
-    return tuple(dict.fromkeys(values))
-
-
 def _suite_table(config: Config) -> tuple:
     """The relation table: one (relation, check, tolerance, keywords, grid)
     row per family in report order.  `keywords` names the suite-wide
     arguments (`m`, `tol`, `space`) the check takes; a grid point holds the
-    rest, and no grid holds a point twice.  Each build reads the checks from
-    the module, so wrappers apply."""
-    lambdas, vectors, tol = config.lambdas, _unique(config.vectors), config.tolerance
+    rest.  Each build reads the checks from the module, so wrappers apply."""
+    lambdas, vectors, tol = config.lambdas, config.vectors, config.tolerance
     lam0 = lambdas[0]
-    lam_pairs = _unique([(lam0, lam0), (lam0, lambdas[-1])])
+    lam_pairs = dict.fromkeys([(lam0, lam0), (lam0, lambdas[-1])])  # once for one lambda
     vec_pairs = _distinct_pairs(vectors)
     box, converging = ("m",), ("m", "tol", "space")
     return (
@@ -754,13 +750,13 @@ def _suite_table(config: Config) -> tuple:
             for f, g in vec_pairs
         ]),
         ("rel_iii", check_relation_iii, EXACT_TOL, (), [
-            dict(f=f, lam=lam0, c=c) for c in _unique(config.scales) for f in vectors
+            dict(f=f, lam=lam0, c=c) for c in config.scales for f in vectors
         ]),
         ("rel_iv", check_relation_iv, tol, converging, [
             dict(f=f, g=g, mu=lam0) for f in vectors for g in vectors if f != g
         ]),
         ("almost_inner", check_almost_inner, tol, converging, [
-            dict(f=f, lam=lam0, probe=probe) for probe in _unique(config.probes) for f in vectors
+            dict(f=f, lam=lam0, probe=probe) for probe in config.probes for f in vectors
         ]),
     )
 
@@ -800,7 +796,7 @@ def run_suite(config: Config) -> SuiteResult:
                 )
             checks.append(replace(check, seed=config.seed))
     sigma_cross_max, sigma_cross_error = _sigma_cross_validation(
-        caches[-1], space, _unique(config.vectors), config.compression, config.seed
+        caches[-1], space, config.vectors, config.compression, config.seed
     )
     return SuiteResult(config, tuple(checks), sigma_cross_max, sigma_cross_error)
 
@@ -823,23 +819,28 @@ def _sigma_cross_validation(cache, space, vectors, m, seed) -> tuple:
 
 
 def pairing_probes(cache: SolverCache, space, pairs, m: int, seed: int):
-    """Schur-probes K = -i[G_f, G_g] below the cutoff m against sigma(f, g)
-    for each pair (f, g).  K acts as sigma(f, g) below the truncation
-    boundary.  The probe columns live on the box idx of cutoff m, so their
-    Rayleigh quotients read only K's block on it.  G_v moves one level in
-    one mode, so G_v sel vanishes off the box `near` of cutoff m + 1 (N at
-    most), and A_v = (G_v sel)[near] is read off the stencil once per vector
-    (`PatternMatrix.columns`).  G_v is self-adjoint, so K's box block is
-    -i(A_f* A_g - A_g* A_f).  Yields (report, sigma(f, g), gap, ok) per
+    """Schur-probes K = -i[G_f, G_g] on the box idx of cutoff m against
+    sigma(f, g), which K acts as below the truncation boundary, for each
+    pair (f, g).  G_v is self-adjoint and maps the box into the box `near`
+    of cutoff m + 1 (N at most), so only its stencil rows on both are read:
+    a basis column's quotient is K_jj = 2 Im sum_t G_f[j, c_t] conj(G_g[j,
+    c_t]) over j's slots t, and (G_v phi)[near] is formed once per vector
+    for the random probes phi.  Yields (report, sigma(f, g), gap, ok) per
     pair, ok when K is scalar and the gap is at most SIGMA_CROSS_TOL."""
-    idx = fock.box_indices(cache.rep, m)
-    near = fock.box_indices(cache.rep, min(m + 1, cache.rep.levels))
-    phi = fock.probe_block(cache.rep, m, seed)[idx]
-    blocks = {v: cache.generator(v).columns(idx, near) for pair in pairs for v in map(tuple, pair)}
+    rep, idx = cache.rep, fock.box_indices(cache.rep, m)
+    near = fock.box_indices(rep, min(m + 1, rep.levels))
+    full = np.zeros((rep.dim, fock.RANDOM_PROBES), dtype=complex)  # phi, zero off the box
+    full[idx] = phi = fock.random_probes(seed, len(idx))
+    gathered, on_near = full[rep.cols[:, near]], np.searchsorted(near, rep.cols[:, idx])
+    stencils = {}  # v: (G_v's stencil rows on idx, (G_v phi)[near])
+    for v, data in {tuple(v): cache.generator(v).data for p in pairs for v in p}.items():
+        stencils[v] = data[:, idx], np.einsum("tr,tr...->r...", data[:, near], gathered)
     for f, g in pairs:
-        a_f, a_g = blocks[tuple(f)], blocks[tuple(g)]
-        k_box = -1j * (a_f.conj().T @ a_g - a_g.conj().T @ a_f)
-        report = fock.schur_report(fock.rayleigh_quotients(phi, k_box @ phi))
+        (d_f, image_f), (d_g, image_g) = stencils[tuple(f)], stencils[tuple(g)]
+        k_phi = -1j * (np.einsum("tj,tj...->j...", d_f, image_g[on_near])
+                       - np.einsum("tj,tj...->j...", d_g, image_f[on_near]))
+        diag = 2.0 * np.einsum("tj,tj->j", d_f, d_g.conj()).imag  # K on the basis columns
+        report = fock.schur_report(np.concatenate([diag, fock.rayleigh_quotients(phi, k_phi)]))
         target = symplectic.pair(space, f, g)
         gap = abs(report.mean - target)
         yield report, target, gap, report.is_scalar and gap <= SIGMA_CROSS_TOL

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import pkgutil
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -901,9 +902,10 @@ def test_sigma_cross_validation_matches_pairing_probe_per_pair(monkeypatch):
 @pytest.mark.parametrize("modes, levels", [(1, 16), (2, 8), (3, 4)])
 @pytest.mark.parametrize("below_top", [True, False])
 def test_sigma_cross_validation_reads_the_box_block(modes, levels, below_top):
-    # K's box block from the generators' columns on the next box agrees with
-    # the dense commutator on the full probe block; at m = N the boundary
-    # defect fails, at the same first pair
+    # K on the box, read off the generators' stencil rows on the box and the
+    # next box, agrees with the dense commutator on the full probe block; G_v
+    # maps the box into the next box; at m = N the boundary defect fails, at
+    # the same first pair
     rep = fock.build_rep(modes, levels)
     m = min(3, levels - 1) if below_top else levels
     vectors = verify._default_vectors(modes)
@@ -927,3 +929,19 @@ def test_sigma_cross_validation_reads_the_box_block(modes, levels, below_top):
         f, g = pairs[ref_ok.index(False)]
         assert math.isinf(worst)
         assert f"for f={f}, g={g} (gap " in error
+
+
+def test_sigma_cross_validation_at_box_n_stays_small():
+    # box = N at two modes, N = 48: a dense box block (K's, or a generator's
+    # columns on the box) would take 2304^2 * 16 B = 85 MB; the stencil rows
+    # and the random probes' gathered images peak near 9 MB
+    rep = fock.build_rep(2, 48)
+    cache, vectors = verify.SolverCache(rep), verify._default_vectors(2)
+    tracemalloc.start()
+    try:
+        worst, error = verify._sigma_cross_validation(cache, rep.space, vectors, 48, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isinf(worst) and error  # the boundary defect at m = N
+    assert peak < 16 * 2**20
