@@ -17,10 +17,10 @@ one weighted sum of value arrays (`PatternMatrix`).  A resolvent
 (`ResolventSolver`) applies (iz + G_f)^-1 to blocks of columns without
 forming it: with one mode of N >= 3 by the LAPACK tridiagonal LU
 (?gttrf/?gttrs) of iz + G_f, otherwise by the eigenbasis of one mode's
-truncated Q (`FockRep.basis`).  Dense matrices are formed only on request:
-evaluated expressions, and full resolvents (`ResolventSolver.matrix`), which
-no command forms.  No scipy package is imported: LAPACK comes from scipy's
-extension module (`lapack`).
+truncated Q (`FockRep.basis`, numpy's `eigh`).  Dense matrices are formed
+only on request: evaluated expressions, and full resolvents
+(`ResolventSolver.matrix`), which no command forms.  No scipy package is
+imported: the LU comes from scipy's LAPACK extension module (`lapack`).
 """
 
 from __future__ import annotations
@@ -94,12 +94,12 @@ class FockRep:
         """(U, x) with Q = U diag(x) U^T for one mode's truncated Q, which
         every mode shares; built on first access, read-only.  Q is real
         symmetric tridiagonal, so U is real orthogonal, and x are the
-        Gauss-Hermite nodes in ascending order (Golub & Welsch 1969).  The
-        ?stevd call is the one `scipy.linalg.eigh_tridiagonal` makes."""
+        Gauss-Hermite nodes in ascending order (Golub & Welsch 1969).  numpy's
+        `eigh` of the dense Q gives the bytes of scipy's ?stevd; U is kept
+        Fortran-ordered like ?stevd's, as the layout sets `_real_matmul`'s sums."""
         offdiag = np.sqrt(np.arange(1, self.levels) / 2.0)
-        x, u, info = lapack("dstevd")(np.zeros(self.levels), offdiag, compute_v=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"?stevd failed with info {info}")
+        x, u = np.linalg.eigh(np.diag(offdiag, -1) + np.diag(offdiag, 1))
+        u = np.asfortranarray(u)
         for arr in (u, x):
             arr.setflags(write=False)
         return u, x
@@ -242,7 +242,7 @@ class ResolventSolver:
     columns, and that diagonal; a solve contracts U^T and U along one mode
     axis at a time, skips the modes where f vanishes, and never writes to
     the caller's block.  For n modes of N levels, set-up is O(N^n) on top of
-    one N x N eigensystem per representation, and a solve costs 2nN
+    one N x N `eigh` per representation, and a solve costs 2nN
     multiply-adds per column entry.  A sparse LU of iz + G_f fills in from
     two modes on and is slower to set up and to apply
     (scripts/bench_resolvent.py).
@@ -522,13 +522,13 @@ def schur_report(values: np.ndarray) -> SchurReport:
 
 
 def save_matrix(path, m: np.ndarray):
-    m = np.ascontiguousarray(m, dtype=complex)
+    m = np.ascontiguousarray(m, dtype="<c16")  # the one copy, if any
     if m.ndim != 2:
         raise ValueError("only 2-d matrices are stored")
     header = _MAGIC + _DTYPE_TAG + struct.pack("<QQ", m.shape[0], m.shape[1])
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(m.astype("<c16").tobytes(order="C"))
+        fh.write(m.data)
 
 
 def load_matrix(path) -> np.ndarray:

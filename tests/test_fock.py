@@ -1,5 +1,6 @@
 """Tests for the truncated Fock realization."""
 
+import struct
 import subprocess
 import sys
 from functools import partial
@@ -321,7 +322,7 @@ def test_lapack_routines_are_scipys_after_a_later_import():
 
 
 def _lapack_results():
-    # a one-mode solve and a basis
+    # a one-mode solve, which asks LAPACK, and a basis, which does not
     one, two = fock.build_rep(1, 64), fock.build_rep(2, 10)
     block = np.random.default_rng(5).standard_normal((64, 4)) + 0j
     solver = fock.ResolventSolver(one, 1.0 - 0.5j, (0.7, -1.3))
@@ -346,7 +347,7 @@ def test_lapack_fallback_gives_identical_solves(monkeypatch):
         got = _lapack_results()
     finally:
         fock.lapack.cache_clear()
-    assert sorted(asked) == ["gttrf", "gttrs", "stevd"]
+    assert sorted(asked) == ["gttrf", "gttrs"]
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
 
@@ -451,33 +452,38 @@ def test_bad_basis_raises_at_construction(planted):
         fock.ResolventSolver(rep, 1.0, (1.0, 0.5, -1.0, 0.0))
 
 
-@pytest.mark.parametrize("levels", [2, 3, 10, 64, 257])
+# 12 and 16 are the levels of perfbench's verify_2m, 128 the top of two_mode_ladder
+@pytest.mark.parametrize("levels", [2, 3, 10, 12, 16, 64, 128, 257])
 def test_basis_is_bitwise_eigh_tridiagonal(levels):
+    # scipy's ?stevd is the reference: same bytes, zero signs included, and
+    # U in its Fortran layout, which sets the order of the solves' sums
     from scipy.linalg import eigh_tridiagonal
 
     x, u = eigh_tridiagonal(np.zeros(levels), np.sqrt(np.arange(1, levels) / 2.0))
     basis_u, basis_x = fock.build_rep(1, levels).basis
-    assert np.array_equal(basis_u, u)
-    assert np.array_equal(basis_x, x)
+    assert u.flags.f_contiguous and basis_u.flags.f_contiguous
+    assert not basis_u.flags.writeable and not basis_x.flags.writeable
+    assert np.array_equal(basis_u.view(np.uint64), u.view(np.uint64))
+    assert np.array_equal(basis_x.view(np.uint64), x.view(np.uint64))
 
 
 def test_basis_is_built_once_per_rep(monkeypatch):
     calls = []
-    real = fock.lapack("dstevd")
+    real = np.linalg.eigh
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    lapack = fock.lapack
-    monkeypatch.setattr(fock, "lapack", lambda name: counting if name == "dstevd" else lapack(name))
-    rep = fock.build_rep(2, 10)
-    for z, f in ((1.0, (1.0, 0.0, 0.0, 1.0)), (-2.0, (0.0, 1.0, 1.0, 0.0))):
-        fock.ResolventSolver(rep, z, f).matrix()
-    assert len(calls) == 1
-    assert rep.basis is rep.basis
-    with pytest.raises(ValueError):
-        rep.basis[0][0, 0] = 0.0
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for rep in (fock.build_rep(2, 10), fock.build_rep(3, 4)):
+        before = len(calls)
+        for z, f in ((1.0, np.eye(2 * rep.modes)[0]), (-2.0, np.ones(2 * rep.modes))):
+            fock.ResolventSolver(rep, z, f).matrix()
+        assert len(calls) == before + 1
+        assert rep.basis is rep.basis
+        with pytest.raises(ValueError):
+            rep.basis[0][0, 0] = 0.0
 
 
 def test_guard_probes_are_built_once_per_dimension_and_read_only():
@@ -696,6 +702,20 @@ def test_matrix_container_round_trip(tmp_path):
     back = fock.load_matrix(path)
     assert back.shape == (5, 7)
     assert np.array_equal(back, m)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "real"])
+def test_matrix_container_payload_is_the_row_major_bytes(tmp_path, layout):
+    # the bytes of the old two-copy write, m.astype("<c16").tobytes(order="C")
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    m[0, 0] = complex(-0.0, -0.0)
+    m = {"C": m, "F": m.T, "real": m.real}[layout]
+    path = tmp_path / "m.bin"
+    fock.save_matrix(path, m)
+    payload = np.ascontiguousarray(m, dtype=complex).astype("<c16").tobytes(order="C")
+    assert path.read_bytes()[24:] == payload
+    assert path.read_bytes()[8:24] == struct.pack("<QQ", *m.shape)
 
 
 def test_matrix_container_rejects_garbage(tmp_path):
