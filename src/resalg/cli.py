@@ -37,14 +37,22 @@ def _emit(args, payload: dict) -> None:
         print(text)
 
 
+def _read_input(path: str, what: str) -> str:
+    """The text of an input file; a file that cannot be read as UTF-8, a
+    missing one or a directory, is a ConfigError that names it."""
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or "not UTF-8 text"
+        raise verify.ConfigError(f"cannot read {what} {path}: {reason}") from exc
+
+
 def _load_config(args) -> verify.Config:
     """The config file's fields, or the defaults, with the command-line
     overrides in their place; the config is built and validated once."""
-    path = getattr(args, "config", None) and pathlib.Path(args.config)
-    if path and not path.exists():
-        raise verify.ConfigError(f"config file not found: {path}")
+    text = "{}" if args.config is None else _read_input(args.config, "config file")
     overrides = {}
-    if getattr(args, "trunc", None):
+    if getattr(args, "trunc", None) is not None:
         try:  # the config's reader takes numbers, not strings
             overrides["truncations"] = [int(x) for x in args.trunc.split(",")]
         except ValueError as exc:
@@ -54,7 +62,7 @@ def _load_config(args) -> verify.Config:
     for option, key in (("compress", "compression"), ("tol", "tolerance"), ("seed", "seed")):
         if getattr(args, option, None) is not None:
             overrides[key] = getattr(args, option)
-    return verify.Config.from_json(path.read_text() if path else "{}", **overrides)
+    return verify.Config.from_json(text, **overrides)
 
 
 def _parse_vector(text: str) -> tuple:
@@ -78,11 +86,7 @@ def cmd_simplify(args) -> int:
         _eprint(f"error: {exc}")
         return 2
     if args.json or args.out:
-        _emit(args, {
-            "schema_version": 1,
-            "input": args.expression,
-            "canonical": str(canonical),
-        })
+        _emit(args, {"schema_version": 1, "input": args.expression, "canonical": str(canonical)})
     else:
         print(str(canonical))
     return 0
@@ -102,12 +106,10 @@ def cmd_verify(args) -> int:
 
 def cmd_cohomology(args) -> int:
     config = _load_config(args)
-    if args.gauge:
-        path = pathlib.Path(args.gauge)
-        if not path.exists():
-            raise verify.ConfigError(f"gauge file not found: {path}")
+    if args.gauge is not None:
+        text = _read_input(args.gauge, "gauge file")
         try:
-            gauge = cohomology.gauge_from_json(path.read_text())
+            gauge = cohomology.gauge_from_json(text)
         except ValueError as exc:
             raise verify.ConfigError(f"bad gauge file: {exc}") from exc
     else:
@@ -275,9 +277,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        out = args.out is not None and pathlib.Path(args.out)
+        if out and (out.is_dir() or not out.parent.is_dir()):
+            raise verify.ConfigError(f"--out {args.out!r} is not a file in an existing directory")
         return args.func(args)
     except verify.ConfigError as exc:  # raised before any output is written
         _eprint(f"config error: {exc}")
+        return 2
+    except OSError as exc:  # writing the output to its checked path failed
+        _eprint(f"error: {exc}")
         return 2
 
 

@@ -53,10 +53,6 @@ PROBE_RESIDUAL_TOL = 1e-10
 SCHUR_TOL = 1e-8
 RANDOM_PROBES = 10
 
-# bytes of rows a stencil product gathers at once; a wider block of columns
-# (rel_iv's and almost_inner's box solves) goes in column chunks, same bits
-GATHER_BYTES = 2**23
-
 _MAGIC = b"RAMX"
 _DTYPE_TAG = b"c16\x00"
 
@@ -107,28 +103,22 @@ class FockRep:
 
 class PatternMatrix:
     """The matrix with values `data` (changeable in place), shaped like
-    `rep.cols`, on a representation's row stencil.  Row r of `m @ x` sums
-    data[t, r] * x[cols[t, r]] over the slots t in one einsum, which gives
-    the bits of scipy's CSC product; a per-slot multiply-add does not, as
-    numpy's complex multiply may fuse it.  The rows x[cols] are gathered by
-    one `take` on the flat stencil, which yields the same array as indexing
-    with `cols` in less time.  The gather is 2n+1 times the size of x, so a
-    block of columns whose gather would pass GATHER_BYTES is multiplied in
-    chunks of columns; each entry is the same sum over its slots."""
+    `rep.cols`: 2n+1 diagonals, slot n the main one, slots t and 2n - t those
+    at -s_t and +s_t.  `m @ x` adds one shifted product per slot, in slot
+    order, with no BLAS; a slot past a boundary holds 0 and adds exact zeros."""
 
     def __init__(self, rep: FockRep, data: np.ndarray):
         self.rep, self.data = rep, data
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x, cols = np.asarray(x), self.rep.cols
-        width = max(1, GATHER_BYTES // (cols.size * x.itemsize))
-        if x.ndim == 2 and x.shape[1] > width:
-            out = np.empty(x.shape, dtype=np.result_type(self.data, x))
-            for start in range(0, x.shape[1], width):
-                out[:, start:start + width] = self @ x[:, start:start + width]
-            return out
-        rows = x.take(cols.ravel(), axis=0).reshape(cols.shape + x.shape[1:])
-        return np.einsum("tn,tn...->n...", self.data, rows)
+        x, n = np.asarray(x), self.rep.modes
+        d = self.data.reshape(self.data.shape + (1,) * (x.ndim - 1))
+        y = d[n] * x
+        for k in range(n):
+            s = self.rep.levels ** (n - 1 - k)
+            y[s:] += d[k, s:] * x[:-s]
+            y[:-s] += d[2 * n - k, :-s] * x[s:]
+        return y
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         """`self @ sel` for the identity's columns `sel` at the indices idx,

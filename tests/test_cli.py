@@ -230,6 +230,65 @@ def test_flags_without_a_config_file_are_validated_once(capsys, monkeypatch, fla
     assert len(checks) == 1
 
 
+def test_empty_trunc_flag_is_a_config_error(capsys):
+    # an empty --trunc is a bad list, not an absent one
+    code, out, err = run_cli(capsys, "verify", "--config", "configs/quick.json", "--trunc", "")
+    assert code == 2
+    assert out == ""
+    assert err == "config error: bad truncations: '' is not a list of integers\n"
+
+
+@pytest.mark.parametrize("command, flag", [("verify", "--config"), ("cohomology", "--gauge")])
+@pytest.mark.parametrize("kind", ["directory", "not utf-8", "empty path"])
+def test_unreadable_input_file_exits_2(capsys, tmp_path, command, flag, kind):
+    # exit 1 means a failed check; an input that cannot be read is exit 2,
+    # and an empty path is no file, not an absent flag
+    path = "" if kind == "empty path" else tmp_path
+    if kind == "not utf-8":
+        path = tmp_path / "input.json"
+        path.write_bytes(b'\xff\xfe{"truncations": [8]}')
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot read {flag[2:]} file {path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--config", "configs/quick.json"),
+    ("eval", "R(1,[1,0])", "--trunc", "8"),
+    ("simplify", "R(1,[1,0])"),
+])
+@pytest.mark.parametrize("target", ["missing/report.out", "."])
+def test_unusable_out_path_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv, target):
+    # a missing parent directory or a directory as --out stops the run at
+    # once, and leaves no file behind
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    for module, name in ((verify, "run_suite"), (fock, "evaluate"), (cli, "simplify")):
+        monkeypatch.setattr(module, name, no_work)
+    out_path = tmp_path / target
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: --out {str(out_path)!r} is not a file in an existing directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("simplify", "R(1,[1,0])"),
+    ("eval", "R(1,[1,0])", "--trunc", "4"),
+])
+def test_failed_output_write_exits_2_with_one_line(capsys, argv):
+    # /dev/full passes the path check, and every write to it fails
+    code, out, err = run_cli(capsys, *argv, "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_file_is_validated_once_after_the_flags(capsys, monkeypatch, tmp_path):
     # the file's default truncations, 256**2 states, exceed the cap; the
     # flags replace them before the one validation
